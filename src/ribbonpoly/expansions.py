@@ -3,8 +3,7 @@
 Four independent methods produce the same element of Z[X, Y, Z]:
 
 * ``state_sum``: the defining sum of (X-1)^(k(H)-k) Y^n(H) Z^g(H) over all
-  2^e spanning subgraphs (optionally restricted to the interval of a
-  partial resolution);
+  2^e spanning subgraphs;
 * ``spanning_tree_expansion``: for each spanning tree of the underlying
   graph, X^(internally active) times the subgraph sum over subsets of the
   externally active edges;
@@ -14,6 +13,8 @@ Four independent methods produce the same element of Z[X, Y, Z]:
 * the quasi-tree expansion from :mod:`ribbonpoly.quasitrees`, with one
   summand per quasi-tree instead of one per subgraph.
 
+The state sum, the inner sums of the spanning-tree expansion and the
+one-vertex base case of the recursion all run one subgraph-sum kernel.
 ``verify_all`` runs every applicable method, insists on exact agreement,
 and checks the Tutte specialization C(X, Y, 1) = T(X, 1+Y).
 ``duality_check`` confirms that quasi-trees of the dual are the edge
@@ -28,20 +29,18 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from typing import Mapping, Sequence
+from math import comb
+from typing import Sequence
 
 from .errors import BijectionFailure, Disconnected, IdentityFailure, Mismatch, SizeLimit
 from .mpoly import MPoly, ONE, X, Y
-from .quasitrees import (
-    PartialResolution,
-    enumerate_quasi_trees,
-    genus_histogram,
-    quasi_tree_weight,
-)
+from .quasitrees import _weight_sum, enumerate_quasi_trees, genus_histogram
 from .ribbon import RibbonGraph
 
 DEFAULT_SUBGRAPH_CAP = 24
+# duality_check draws X and Y as Fraction(randint(*numerators), randint(*denominators))
+_SAMPLE_NUMERATORS = (-6, 7)
+_SAMPLE_DENOMINATORS = (1, 4)
 
 
 class Method(str, Enum):
@@ -74,54 +73,42 @@ class BrtResult:
         }
 
 
-def _fixed_states(
-    interval: Mapping[int, int] | PartialResolution | None, edge_count: int
-) -> dict[int, int]:
-    if interval is None:
-        return {}
-    if isinstance(interval, PartialResolution):
-        fixed = {e: s for e, s in enumerate(interval.states) if s is not None}
-    else:
-        fixed = dict(interval)
-    for eid, value in fixed.items():
-        if not 0 <= eid < edge_count or value not in (0, 1):
-            raise ValueError(f"bad interval entry {eid}: {value}")
-    return fixed
+def _subgraph_sum(graph: RibbonGraph, base: list[int], free: Sequence[int]) -> MPoly:
+    """Sum of (X-1)^(k(H)-k) Y^n(H) Z^g(H) over H = base + S for every S within free.
+
+    ``k`` is the component count of ``graph``.  Subgraphs are tallied by
+    ``(k(H), n(H), g(H))`` first, so each power of (X-1) is expanded once
+    per distinct key.
+    """
+    tally: dict[tuple[int, int, int], int] = {}
+    for mask in range(1 << len(free)):
+        subset = base + [free[i] for i in range(len(free)) if mask >> i & 1]
+        counts = graph.subgraph_counts(subset)
+        key = (counts.components, counts.nullity, counts.genus)
+        tally[key] = tally.get(key, 0) + 1
+    k_graph = graph.component_count
+    terms: dict[tuple[int, int, int, int], int] = {}
+    for (components, nullity, genus), multiplicity in tally.items():
+        j = components - k_graph
+        for a in range(j + 1):
+            key = (a, nullity, genus, 0)
+            terms[key] = terms.get(key, 0) + multiplicity * comb(j, a) * (-1) ** (j - a)
+    return MPoly(terms)
 
 
-def state_sum(
-    graph: RibbonGraph,
-    cap: int = DEFAULT_SUBGRAPH_CAP,
-    interval: Mapping[int, int] | PartialResolution | None = None,
-) -> BrtResult:
-    """Sum over all spanning subgraphs (or those inside ``interval``).
+def state_sum(graph: RibbonGraph, cap: int = DEFAULT_SUBGRAPH_CAP) -> BrtResult:
+    """Sum over all spanning subgraphs.
 
     Works for disconnected graphs.  Raises
     :class:`~ribbonpoly.errors.SizeLimit` when more than 2^cap subgraphs
     would be expanded.
     """
     start = time.perf_counter()
-    fixed = _fixed_states(interval, graph.edge_count)
-    free = [ei for ei in range(graph.edge_count) if ei not in fixed]
-    if len(free) > cap:
-        raise SizeLimit(f"{len(free)} free edges exceed the cap of {cap}")
-    base = [ei for ei, value in fixed.items() if value == 1]
-    k_graph = graph.counts().components
-    x_minus_1_powers = [
-        ((X - 1) ** j) for j in range(graph.counts().vertices + 1)
-    ]
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for mask in range(1 << len(free)):
-        subset = base + [free[i] for i in range(len(free)) if mask >> i & 1]
-        counts = graph.subgraph_counts(subset)
-        for (a, _, _, _), coeff in x_minus_1_powers[counts.components - k_graph].items():
-            key = (a, counts.nullity, counts.genus, 0)
-            total = acc.get(key, 0) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-    return BrtResult(MPoly(acc), Method.STATE_SUM, 1 << len(free), time.perf_counter() - start)
+    edge_count = graph.edge_count
+    if edge_count > cap:
+        raise SizeLimit(f"{edge_count} free edges exceed the cap of {cap}")
+    polynomial = _subgraph_sum(graph, [], range(edge_count))
+    return BrtResult(polynomial, Method.STATE_SUM, 1 << edge_count, time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -155,13 +142,7 @@ def spanning_tree_rows(
     trees = graph.underlying_multigraph().spanning_trees_with_activities(order)
     rows = []
     for tree in trees:
-        external = sorted(tree.externally_active)
-        inner: dict[tuple[int, int, int, int], int] = {}
-        for size in range(len(external) + 1):
-            for extra in combinations(external, size):
-                counts = graph.subgraph_counts(tree.edges | frozenset(extra))
-                key = (0, counts.nullity, counts.genus, 0)
-                inner[key] = inner.get(key, 0) + 1
+        inner = _subgraph_sum(graph, sorted(tree.edges), sorted(tree.externally_active))
         symbols = []
         for eid in order:
             if eid in tree.edges:
@@ -174,7 +155,7 @@ def spanning_tree_rows(
                 activity="".join(symbols),
                 internal_count=len(tree.internally_active),
                 external_count=len(tree.externally_active),
-                inner_weight=MPoly(inner),
+                inner_weight=inner,
             )
         )
     return rows
@@ -205,21 +186,11 @@ def deletion_contraction(graph: RibbonGraph) -> BrtResult:
     start = time.perf_counter()
     base_summands = 0
 
-    def one_vertex_sum(g: RibbonGraph) -> MPoly:
-        nonlocal base_summands
-        acc: dict[tuple[int, int, int, int], int] = {}
-        edges = list(range(g.edge_count))
-        for mask in range(1 << len(edges)):
-            subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-            counts = g.subgraph_counts(subset)
-            key = (0, counts.nullity, counts.genus, 0)
-            acc[key] = acc.get(key, 0) + 1
-        base_summands += 1 << len(edges)
-        return MPoly(acc)
-
     def recurse(g: RibbonGraph) -> MPoly:
+        nonlocal base_summands
         if g.vertex_count == 1:
-            return one_vertex_sum(g)
+            base_summands += 1 << g.edge_count
+            return _subgraph_sum(g, [], range(g.edge_count))
         # connected with >= 2 vertices, so a non-loop edge exists
         rank = {eid: pos for pos, eid in enumerate(g.edge_order)}
         pivot = max(
@@ -241,9 +212,7 @@ def quasi_tree_sum(graph: RibbonGraph, order: Sequence[int] | None = None) -> Br
     """The quasi-tree expansion wrapped with its summand count and timing."""
     start = time.perf_counter()
     quasi_trees = enumerate_quasi_trees(graph, order)
-    total = MPoly.zero()
-    for qt in quasi_trees:
-        total = total + quasi_tree_weight(qt).expanded
+    total = _weight_sum(quasi_trees)
     return BrtResult(total, Method.QUASI_TREE, len(quasi_trees), time.perf_counter() - start)
 
 
@@ -368,8 +337,18 @@ def duality_check(
     graph and dual, (X-1)^g C(X,Y,Z) equals Y^g C*(1+Y, X-1, Z) on the
     surface (X-1)YZ = 1, sampled at ``point_count`` exact rational points
     drawn from a seeded generator (poles excluded).  (The loop/bridge dual
-    pair, 1+Y vs X, shows a literal argument swap cannot hold.)
+    pair, 1+Y vs X, shows a literal argument swap cannot hold.)  Raises
+    ValueError unless ``point_count`` is at least 1 and at most the number
+    of distinct points the generator can draw.
     """
+    values = {
+        Fraction(p, q)
+        for p in range(_SAMPLE_NUMERATORS[0], _SAMPLE_NUMERATORS[1] + 1)
+        for q in range(_SAMPLE_DENOMINATORS[0], _SAMPLE_DENOMINATORS[1] + 1)
+    }
+    pool = len(values - {1}) * len(values - {0})
+    if not 1 <= point_count <= pool:
+        raise ValueError(f"point_count must be between 1 and {pool}, got {point_count}")
     if not graph.is_connected:
         raise Disconnected("duality check requires a connected graph")
     total_genus = graph.genus
@@ -403,8 +382,8 @@ def duality_check(
     points: list[tuple[Fraction, Fraction, Fraction]] = []
     seen: set[tuple[Fraction, Fraction]] = set()
     while len(points) < point_count:
-        x = Fraction(rng.randint(-6, 7), rng.randint(1, 4))
-        y = Fraction(rng.randint(-6, 7), rng.randint(1, 4))
+        x = Fraction(rng.randint(*_SAMPLE_NUMERATORS), rng.randint(*_SAMPLE_DENOMINATORS))
+        y = Fraction(rng.randint(*_SAMPLE_NUMERATORS), rng.randint(*_SAMPLE_DENOMINATORS))
         if x == 1 or y == 0 or (x, y) in seen:
             continue
         seen.add((x, y))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import NegativeExponent
+from .errors import NegativeExponent, RibbonPolyError
 
 ExponentKey = tuple[int, int, int, int]
 
@@ -164,6 +164,9 @@ class MPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals the int of the same value, so it hashes like it
+        if self._terms.keys() <= {(0, 0, 0, 0)}:
+            return hash(self._terms.get((0, 0, 0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # -- evaluation and substitution ----------------------------------
@@ -282,10 +285,12 @@ class MPoly:
                 if factor[0].isdigit():
                     coeff *= int(factor)
                 else:
-                    name, _, raw_exp = factor.partition("^")
+                    name, caret, raw_exp = factor.partition("^")
                     if name not in _VAR_INDEX:
                         raise ValueError(f"unknown variable {name!r} in {text!r}")
-                    exps[_VAR_INDEX[name]] += int(raw_exp) if raw_exp else 1
+                    if caret and not raw_exp.isdigit():
+                        raise ValueError(f"exponent of {name} in {text!r} is not a digit string")
+                    exps[_VAR_INDEX[name]] += int(raw_exp) if caret else 1
             key = tuple(exps)
             new = terms.get(key, 0) + coeff
             if new:
@@ -338,7 +343,8 @@ def counting_substitution(poly: MPoly) -> MPoly:
     collapsed = poly.substitute(x=1)
     terms: dict[ExponentKey, int] = {}
     for (x_exp, nullity, genus, _), coeff in collapsed.items():
-        assert x_exp == 0
+        if x_exp:
+            raise RibbonPolyError(f"X^{x_exp} survived the substitution X := 1")
         if nullity - 2 * genus < 0:
             raise NegativeExponent(
                 f"monomial Y^{nullity}*Z^{genus} has nullity < 2*genus; "

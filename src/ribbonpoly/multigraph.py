@@ -4,16 +4,16 @@ These serve two roles: the underlying graph of a ribbon graph, and the
 contracted graph attached to a quasi-tree (components of its internally
 dead subgraph joined by the internally live edges).  The module computes
 the two-variable Tutte polynomial by deletion/contraction (stored in the
-X and Y slots of :class:`~ribbonpoly.mpoly.MPoly`), the defining sum over
-spanning subgraphs as an independent cross-check, and all spanning trees
-with Tutte's internal/external activities.
+X and Y slots of :class:`~ribbonpoly.mpoly.MPoly`) and all spanning trees
+with Tutte's internal/external activities.  It also holds the package's
+one union-find, which the ribbon-graph and quasi-tree code share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import Disconnected
 from .mpoly import MPoly, X, Y
@@ -21,8 +21,16 @@ from .mpoly import MPoly, X, Y
 Edge = tuple[int, int, int]  # endpoint, endpoint, edge id
 
 
-def _component_count(vertex_count: int, links: Iterable[tuple[int, int]]) -> int:
-    parent = list(range(vertex_count))
+def _union_find(
+    size: int, links: Iterable[tuple[int, int]], label: Sequence[int]
+) -> tuple[int, Callable[[int], int]]:
+    """Partition ``0..size-1`` by joining ``label[a]`` and ``label[b]`` for each link ``(a, b)``.
+
+    Returns the number of classes and ``find``, which maps an element to
+    the representative of its class.  Linking stops as soon as a merge
+    leaves a single class, because no further link can change the partition.
+    """
+    parent = list(range(size))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -30,13 +38,15 @@ def _component_count(vertex_count: int, links: Iterable[tuple[int, int]]) -> int
             a = parent[a]
         return a
 
-    count = vertex_count
-    for u, v in links:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+    count = size
+    for a, b in links:
+        ra, rb = find(label[a]), find(label[b])
+        if ra != rb:
+            parent[ra] = rb
             count -= 1
-    return count
+            if count == 1:
+                break
+    return count, find
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,8 @@ class MultiGraph:
         return len(self.edges)
 
     def component_count(self) -> int:
-        return _component_count(self.vertex_count, ((u, v) for u, v, _ in self.edges))
+        links = ((u, v) for u, v, _ in self.edges)
+        return _union_find(self.vertex_count, links, range(self.vertex_count))[0]
 
     @property
     def is_connected(self) -> bool:
@@ -121,19 +132,6 @@ class MultiGraph:
         rank = self._rank_of(order)
         return _tutte_recursive(self.vertex_count, self.edges, rank)
 
-    def tutte_by_subgraph_sum(self) -> MPoly:
-        """The defining sum over all spanning subgraphs; an oracle for small graphs."""
-        k_g = self.component_count()
-        x_minus_1 = X - 1
-        y_minus_1 = Y - 1
-        total = MPoly.zero()
-        for size in range(len(self.edges) + 1):
-            for subset in combinations(self.edges, size):
-                k_w = _component_count(self.vertex_count, ((u, v) for u, v, _ in subset))
-                nullity = k_w - self.vertex_count + len(subset)
-                total = total + x_minus_1 ** (k_w - k_g) * y_minus_1**nullity
-        return total
-
     # -- spanning trees and activities ------------------------------------
 
     def spanning_trees_with_activities(
@@ -149,8 +147,9 @@ class MultiGraph:
         rank = self._rank_of(order)
         non_loops = [e for e in self.edges if e[0] != e[1]]
         trees = []
+        vertices = range(self.vertex_count)
         for combo in combinations(non_loops, self.vertex_count - 1):
-            if _component_count(self.vertex_count, ((u, v) for u, v, _ in combo)) == 1:
+            if _union_find(self.vertex_count, ((u, v) for u, v, _ in combo), vertices)[0] == 1:
                 trees.append(combo)
         out = []
         for combo in trees:
@@ -243,12 +242,13 @@ def _tutte_recursive(vertex_count: int, edges: tuple[Edge, ...], rank: dict[int,
             loops += 1
         else:
             non_loop_edges.append(e)
-    base_components = _component_count(vertex_count, ((u, v) for u, v, _ in edges))
+    vertices = range(vertex_count)
+    base_components = _union_find(vertex_count, ((u, v) for u, v, _ in edges), vertices)[0]
     bridges = 0
     candidates = []
     for e in non_loop_edges:
         remaining = [(u, v) for u, v, eid in edges if eid != e[2]]
-        if _component_count(vertex_count, remaining) > base_components:
+        if _union_find(vertex_count, remaining, vertices)[0] > base_components:
             bridges += 1
         else:
             candidates.append(e)

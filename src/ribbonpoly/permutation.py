@@ -119,18 +119,3 @@ class Perm:
     def __repr__(self) -> str:
         return f"Perm({self.cycle_string()}, size={self.size})"
 
-
-def orbit_count_of_images(images: Sequence[int]) -> int:
-    """Number of cycles of a permutation given as a 0-unused, 1-based image list."""
-    n = len(images) - 1
-    seen = bytearray(n + 1)
-    count = 0
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        count += 1
-        i = start
-        while not seen[i]:
-            seen[i] = 1
-            i = images[i]
-    return count

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotQuasiTree, SplitRoot
 from .mpoly import MPoly, ONE, Y, Z
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, _union_find
 from .ribbon import RibbonGraph, SpanningSubgraph
 
 
@@ -162,24 +161,6 @@ class PartialResolution:
     def interval_size(self) -> int:
         return 1 << len(self.unresolved())
 
-    def contains(self, edge_set: Iterable[int]) -> bool:
-        chosen = frozenset(edge_set)
-        return all(
-            s is None or (s == 1) == (e in chosen) for e, s in enumerate(self.states)
-        )
-
-    def completions(self) -> Iterator[frozenset[int]]:
-        """All edge subsets in the interval of this partial resolution."""
-        free = self.unresolved()
-        base = self.included()
-        for size in range(len(free) + 1):
-            for extra in combinations(free, size):
-                yield base | frozenset(extra)
-
-    def string(self, order: Sequence[int]) -> str:
-        symbols = {0: "0", 1: "1", None: "*"}
-        return "".join(symbols[self.states[eid]] for eid in order)
-
 
 @dataclass(frozen=True)
 class QuasiTree:
@@ -229,19 +210,11 @@ def _contracted_graph(
 ) -> MultiGraph:
     """Vertices are the components of the dead subgraph; edges the live internal ones."""
     v = graph.vertex_count
-    parent = list(range(v))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for eid in dead_edges:
-        x, y = graph.edges[eid]
-        rx, ry = find(graph.vertex_of(x)), find(graph.vertex_of(y))
-        if rx != ry:
-            parent[rx] = ry
+    links = (
+        (graph.vertex_of(a), graph.vertex_of(b))
+        for a, b in map(graph.edges.__getitem__, dead_edges)
+    )
+    _, find = _union_find(v, links, range(v))
     component_index: dict[int, int] = {}
     for vi in range(v):
         root = find(vi)
@@ -315,24 +288,9 @@ def _gamma_connected(
         if state == 1:
             included.append(eid)
         elif state is None:
-            stars.append(eid)
+            stars.append(graph.edges[eid])
     count, ids = graph.face_orbit_ids(included)
-    parent = list(range(count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    remaining = count
-    for eid in stars:
-        a, b = graph.edges[eid]
-        ra, rb = find(ids[a]), find(ids[b])
-        if ra != rb:
-            parent[ra] = rb
-            remaining -= 1
-    return remaining == 1
+    return count == 1 or _union_find(count, stars, ids)[0] == 1
 
 
 def enumerate_quasi_trees(
@@ -437,6 +395,14 @@ def quasi_tree_weight(qt: QuasiTree) -> QuasiTreeWeight:
     )
 
 
+def _weight_sum(quasi_trees: Iterable[QuasiTree]) -> MPoly:
+    """The sum of the expanded weights of the given quasi-trees."""
+    total = MPoly.zero()
+    for qt in quasi_trees:
+        total = total + quasi_tree_weight(qt).expanded
+    return total
+
+
 def quasi_tree_expansion(
     graph: RibbonGraph, order: Sequence[int] | None = None
 ) -> MPoly:
@@ -447,7 +413,4 @@ def quasi_tree_expansion(
     every contracted graph is a bouquet of loops, so the Tutte factor
     degenerates to (1+YZ)^|internal live|.
     """
-    total = MPoly.zero()
-    for qt in enumerate_quasi_trees(graph, order):
-        total = total + quasi_tree_weight(qt).expanded
-    return total
+    return _weight_sum(enumerate_quasi_trees(graph, order))

@@ -14,8 +14,12 @@ vertices, edges, faces and connected components, the genus satisfies
 ``2g = 2k - v + e - f`` and the nullity is ``n = e - v + k``.
 
 The empty triple (``2n == 0``) represents the single-vertex graph with no
-edges.  Other isolated vertices cannot be encoded by permutations; they
-appear only as explicit counts in :class:`RestrictedSubgraph`.
+edges.  Other isolated vertices cannot be encoded by permutations.
+
+Faces of spanning subgraphs come from one boundary walk,
+:meth:`RibbonGraph._boundary_walk`, behind :meth:`RibbonGraph.face_count`,
+:meth:`RibbonGraph.boundary_components` and
+:meth:`RibbonGraph.face_orbit_ids`.
 
 All objects here are immutable after construction and every operation is
 a pure function, so shared graphs are safe to use concurrently.
@@ -25,9 +29,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Disconnected, LoopContraction, NotInvolution, NotPartition
+from .multigraph import MultiGraph, _union_find
 from .permutation import Perm
 
 
@@ -56,24 +62,6 @@ def _genus_from(components: int, vertices: int, edges: int, faces: int) -> int:
             f"e={edges}, f={faces})"
         )
     return twice // 2
-
-
-def _component_count(vertex_count: int, links: Iterable[tuple[int, int]]) -> int:
-    parent = list(range(vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = vertex_count
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-    return count
 
 
 class RibbonGraph:
@@ -137,10 +125,7 @@ class RibbonGraph:
         s1 = sigma1.images
         s0 = sigma0.images
         self._succ2inv = [0] + [s0[s1[i - 1] - 1] for i in range(1, n2 + 1)]
-        self._component_count = _component_count(
-            len(self.vertices) or 1,
-            ((vertex_of[a], vertex_of[b]) for a, b in self.edges),
-        )
+        self._component_count = _union_find(len(self.vertices) or 1, self.edges, vertex_of)[0]
 
     # -- basic counts ------------------------------------------------
 
@@ -202,57 +187,16 @@ class RibbonGraph:
             member[ei] = True
         return member
 
-    def face_count(self, edges: Iterable[int]) -> int:
-        """Number of boundary components of the spanning subgraph ``edges``.
+    def _boundary_walk(
+        self, edges: Iterable[int], order: list[int] | None = None
+    ) -> tuple[int, list[int]]:
+        """The one walk over the boundary of the spanning subgraph ``edges``.
 
-        Counts the orbits of the mixed permutation that follows ``sigma0``
-        across absent edges and ``sigma2^-1`` along present ones.
-        """
-        if self.is_trivial:
-            return 1
-        member = self._membership(edges)
-        succ0, succ2i, edge_of = self._succ0, self._succ2inv, self._edge_of
-        seen = bytearray(self.half_edge_count + 1)
-        faces = 0
-        for start in range(1, self.half_edge_count + 1):
-            if seen[start]:
-                continue
-            faces += 1
-            i = start
-            while not seen[i]:
-                seen[i] = 1
-                i = succ2i[i] if member[edge_of[i]] else succ0[i]
-        return faces
-
-    def boundary_components(self, edges: Iterable[int]) -> list[tuple[int, ...]]:
-        """Boundary walks of the spanning subgraph, one cycle per face.
-
-        Each cycle is rotated to start at its smallest half-edge; cycles are
-        sorted by that label.  Every half-edge appears in exactly one cycle.
-        """
-        if self.is_trivial:
-            return []
-        member = self._membership(edges)
-        succ0, succ2i, edge_of = self._succ0, self._succ2inv, self._edge_of
-        seen = bytearray(self.half_edge_count + 1)
-        cycles = []
-        for start in range(1, self.half_edge_count + 1):
-            if seen[start]:
-                continue
-            cycle = []
-            i = start
-            while not seen[i]:
-                seen[i] = 1
-                cycle.append(i)
-                i = succ2i[i] if member[edge_of[i]] else succ0[i]
-            cycles.append(tuple(cycle))
-        return cycles
-
-    def face_orbit_ids(self, edges: Iterable[int]) -> tuple[int, list[int]]:
-        """(face count, per-half-edge boundary-orbit index) for a subgraph.
-
-        Two half-edges share an index exactly when they lie on the same
-        boundary component of the spanning subgraph.  Slot 0 is unused.
+        Follows ``sigma0`` across absent edges and ``sigma2^-1`` along
+        present ones, starting each orbit at its smallest unvisited
+        half-edge.  Returns the orbit count and the orbit index of every
+        half-edge (slot 0 unused); appends the half-edges to ``order`` in
+        walk order when it is given.
         """
         member = self._membership(edges)
         succ0, succ2i, edge_of = self._succ0, self._succ2inv, self._edge_of
@@ -264,9 +208,35 @@ class RibbonGraph:
             i = start
             while ids[i] < 0:
                 ids[i] = count
+                if order is not None:
+                    order.append(i)
                 i = succ2i[i] if member[edge_of[i]] else succ0[i]
             count += 1
         return count, ids
+
+    def face_count(self, edges: Iterable[int]) -> int:
+        """Number of boundary components of the spanning subgraph ``edges``."""
+        if self.is_trivial:
+            return 1
+        return self._boundary_walk(edges)[0]
+
+    def boundary_components(self, edges: Iterable[int]) -> list[tuple[int, ...]]:
+        """Boundary walks of the spanning subgraph, one cycle per face.
+
+        Each cycle is rotated to start at its smallest half-edge; cycles are
+        sorted by that label.  Every half-edge appears in exactly one cycle.
+        """
+        order: list[int] = []
+        _, ids = self._boundary_walk(edges, order)
+        return [tuple(cycle) for _, cycle in groupby(order, ids.__getitem__)]
+
+    def face_orbit_ids(self, edges: Iterable[int]) -> tuple[int, list[int]]:
+        """(face count, per-half-edge boundary-orbit index) for a subgraph.
+
+        Two half-edges share an index exactly when they lie on the same
+        boundary component of the spanning subgraph.  Slot 0 is unused.
+        """
+        return self._boundary_walk(edges)
 
     def subgraph_counts(self, edges: Iterable[int]) -> SubgraphCounts:
         """``(k, e, f, n, g)`` for the spanning subgraph with the given edges."""
@@ -274,13 +244,7 @@ class RibbonGraph:
         if self.is_trivial:
             return SubgraphCounts(1, 0, 1, 0, 0)
         v = len(self.vertices)
-        k = _component_count(
-            v,
-            (
-                (self._vertex_of[self.edges[ei][0]], self._vertex_of[self.edges[ei][1]])
-                for ei in edges
-            ),
-        )
+        k = _union_find(v, map(self.edges.__getitem__, edges), self._vertex_of)[0]
         e_h = len(edges)
         f = self.face_count(edges)
         g = _genus_from(k, v, e_h, f)
@@ -295,34 +259,6 @@ class RibbonGraph:
         if f < k:
             raise AssertionError("face count below component count")
         return SpanningSubgraph(self, edge_set, k, e_h, f, n, g)
-
-    def restrict(self, edges: Iterable[int]) -> RestrictedSubgraph:
-        """The spanning subgraph as a standalone ribbon graph plus isolated vertices.
-
-        Half-edges of absent edges are spliced out of every vertex rotation;
-        vertices left with no half-edges are returned as a count.  The face
-        count of the restriction (faces of the standalone graph plus one per
-        isolated vertex) is an oracle for :meth:`face_count`, computed by an
-        independent route.
-        """
-        member = self._membership(edges)
-        kept = [h for h in range(1, self.half_edge_count + 1) if member[self._edge_of[h]]]
-        relabel = {h: i for i, h in enumerate(kept, start=1)}
-        cycles = []
-        isolated = 1 if self.is_trivial else 0
-        for cycle in self.vertices:
-            sub = [relabel[h] for h in cycle if h in relabel]
-            if sub:
-                cycles.append(sub)
-            else:
-                isolated += 1
-        pairs = [
-            (relabel[a], relabel[b]) for a, b in self.edges if a in relabel
-        ]
-        if not kept:
-            return RestrictedSubgraph(None, isolated, {})
-        graph = build_ribbon_graph(cycles, pairs)
-        return RestrictedSubgraph(graph, isolated, relabel)
 
     # -- edge-order helpers --------------------------------------------
 
@@ -418,18 +354,7 @@ class RibbonGraph:
             range(len(self.vertices)),
             key=lambda vi: self.vertices[vi][0],
         )
-        parent = list(range(len(self.vertices)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, y in self.edges:
-            rx, ry = find(self._vertex_of[x]), find(self._vertex_of[y])
-            if rx != ry:
-                parent[rx] = ry
+        _, find = _union_find(len(self.vertices), self.edges, self._vertex_of)
         groups: dict[int, set[int]] = {}
         for vi in labels:
             groups.setdefault(find(vi), set()).add(vi)
@@ -442,10 +367,8 @@ class RibbonGraph:
             out.append(self._rebuild(cycles, removed))
         return out
 
-    def underlying_multigraph(self):
+    def underlying_multigraph(self) -> MultiGraph:
         """The abstract multigraph: vertex indices joined by the edge pairs."""
-        from .multigraph import MultiGraph
-
         return MultiGraph(
             self.vertex_count,
             tuple(
@@ -495,35 +418,6 @@ class SpanningSubgraph:
     @property
     def is_quasi_tree(self) -> bool:
         return self.faces == 1 and self.components == 1
-
-
-@dataclass(frozen=True)
-class RestrictedSubgraph:
-    """Standalone restriction of a spanning subgraph.
-
-    ``graph`` is None when no edges were kept; ``isolated_vertices`` counts
-    parent vertices whose half-edges were all removed (plus the trivial
-    vertex itself, which has none).  Each isolated vertex contributes one
-    face, one component and genus zero.
-    """
-
-    graph: RibbonGraph | None
-    isolated_vertices: int
-    relabeling: dict[int, int] = field(repr=False)
-
-    @property
-    def face_count(self) -> int:
-        inner = self.graph.counts().faces if self.graph is not None else 0
-        return inner + self.isolated_vertices
-
-    @property
-    def component_count(self) -> int:
-        inner = self.graph.counts().components if self.graph is not None else 0
-        return inner + self.isolated_vertices
-
-    @property
-    def genus(self) -> int:
-        return self.graph.counts().genus if self.graph is not None else 0
 
 
 def build_ribbon_graph(
@@ -593,6 +487,8 @@ def graph_from_json(data: str | dict) -> RibbonGraph:
     The document carries ``sigma0`` (list of cycles), ``sigma1`` (list of
     two-element lists) and optionally ``edge_order``, a list of 1-based edge
     numbers from lowest-ordered to highest.  Half-edge labels are 1-based.
+    Every label and edge number must be a plain integer (JSON ``true`` and
+    ``false`` are not); a document of any other shape raises ValueError.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -603,9 +499,17 @@ def graph_from_json(data: str | dict) -> RibbonGraph:
         sigma1 = data["sigma1"]
     except KeyError as exc:
         raise ValueError(f"graph document is missing field {exc}") from None
+    for name, cycles in (("sigma0", sigma0), ("sigma1", sigma1)):
+        if not isinstance(cycles, list) or not all(
+            isinstance(cycle, list) and all(type(label) is int for label in cycle)
+            for cycle in cycles
+        ):
+            raise ValueError(f"{name} must be a list of lists of integers")
     order = data.get("edge_order")
     if order is not None:
-        order = [int(i) - 1 for i in order]
+        if not isinstance(order, list) or not all(type(i) is int for i in order):
+            raise ValueError("edge_order must be a list of integers")
+        order = [i - 1 for i in order]
     return build_ribbon_graph(sigma0, sigma1, edge_order=order)
 
 

@@ -1,0 +1,144 @@
+"""Reference computations that only the tests use.
+
+Each one computes something the library also computes, by a slower or
+independent route, so that tests can compare the two:
+
+* :func:`restrict` rebuilds a spanning subgraph as a standalone ribbon
+  graph, an oracle for the boundary walk behind ``face_count``;
+* :func:`completions`, :func:`contains` and :func:`resolution_string`
+  spell out the interval of a :class:`~ribbonpoly.PartialResolution`;
+* :func:`tutte_by_subgraph_sum` is the defining sum of the Tutte
+  polynomial, an oracle for deletion/contraction;
+* :func:`interval_state_sum` is the state sum restricted to the interval
+  of a partial resolution.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping, Sequence
+
+from ribbonpoly import MPoly, MultiGraph, PartialResolution, RibbonGraph, X, Y, build_ribbon_graph
+from ribbonpoly.expansions import _subgraph_sum
+
+# -- standalone restriction of a spanning subgraph ------------------------------
+
+
+@dataclass(frozen=True)
+class RestrictedSubgraph:
+    """Standalone restriction of a spanning subgraph.
+
+    ``graph`` is None when no edges were kept; ``isolated_vertices`` counts
+    parent vertices whose half-edges were all removed (plus the trivial
+    vertex itself, which has none).  Each isolated vertex contributes one
+    face, one component and genus zero.
+    """
+
+    graph: RibbonGraph | None
+    isolated_vertices: int
+    relabeling: dict[int, int] = field(repr=False)
+
+    @property
+    def face_count(self) -> int:
+        inner = self.graph.counts().faces if self.graph is not None else 0
+        return inner + self.isolated_vertices
+
+    @property
+    def component_count(self) -> int:
+        inner = self.graph.counts().components if self.graph is not None else 0
+        return inner + self.isolated_vertices
+
+    @property
+    def genus(self) -> int:
+        return self.graph.counts().genus if self.graph is not None else 0
+
+
+def restrict(graph: RibbonGraph, edges: Iterable[int]) -> RestrictedSubgraph:
+    """The spanning subgraph as a standalone ribbon graph plus isolated vertices.
+
+    Half-edges of absent edges are spliced out of every vertex rotation;
+    vertices left with no half-edges are returned as a count.  The face
+    count of the restriction (faces of the standalone graph plus one per
+    isolated vertex) is computed independently of the boundary walk.
+    """
+    chosen = frozenset(edges)
+    kept = [
+        h for h in range(1, graph.half_edge_count + 1) if graph.edge_index_of(h) in chosen
+    ]
+    relabel = {h: i for i, h in enumerate(kept, start=1)}
+    cycles = []
+    isolated = 1 if graph.is_trivial else 0
+    for cycle in graph.vertices:
+        sub = [relabel[h] for h in cycle if h in relabel]
+        if sub:
+            cycles.append(sub)
+        else:
+            isolated += 1
+    pairs = [(relabel[a], relabel[b]) for a, b in graph.edges if a in relabel]
+    if not kept:
+        return RestrictedSubgraph(None, isolated, {})
+    return RestrictedSubgraph(build_ribbon_graph(cycles, pairs), isolated, relabel)
+
+
+# -- the interval of a partial resolution ---------------------------------------
+
+
+def contains(resolution: PartialResolution, edge_set: Iterable[int]) -> bool:
+    chosen = frozenset(edge_set)
+    return all(
+        s is None or (s == 1) == (e in chosen) for e, s in enumerate(resolution.states)
+    )
+
+
+def completions(resolution: PartialResolution) -> Iterator[frozenset[int]]:
+    """All edge subsets in the interval of a partial resolution."""
+    free = resolution.unresolved()
+    base = resolution.included()
+    for size in range(len(free) + 1):
+        for extra in combinations(free, size):
+            yield base | frozenset(extra)
+
+
+def resolution_string(resolution: PartialResolution, order: Sequence[int]) -> str:
+    """States in order position, with ``*`` for unresolved edges."""
+    symbols = {0: "0", 1: "1", None: "*"}
+    return "".join(symbols[resolution.states[eid]] for eid in order)
+
+
+# -- subgraph sums ----------------------------------------------------------------
+
+
+def tutte_by_subgraph_sum(graph: MultiGraph) -> MPoly:
+    """The defining sum of the Tutte polynomial over all spanning subgraphs."""
+    k_g = graph.component_count()
+    x_minus_1 = X - 1
+    y_minus_1 = Y - 1
+    total = MPoly.zero()
+    for size in range(len(graph.edges) + 1):
+        for subset in combinations(graph.edges, size):
+            k_w = MultiGraph(graph.vertex_count, subset).component_count()
+            nullity = k_w - graph.vertex_count + len(subset)
+            total = total + x_minus_1 ** (k_w - k_g) * y_minus_1**nullity
+    return total
+
+
+def interval_state_sum(
+    graph: RibbonGraph, interval: Mapping[int, int] | PartialResolution
+) -> tuple[MPoly, int]:
+    """(state sum, subgraph count) over the subgraphs inside ``interval``.
+
+    ``interval`` fixes some edges to 0 (absent) or 1 (present), either as a
+    mapping from edge index or as a partial resolution; the other edges are
+    free.
+    """
+    if isinstance(interval, PartialResolution):
+        fixed = {e: s for e, s in enumerate(interval.states) if s is not None}
+    else:
+        fixed = dict(interval)
+    for eid, value in fixed.items():
+        if not 0 <= eid < graph.edge_count or value not in (0, 1):
+            raise ValueError(f"bad interval entry {eid}: {value}")
+    free = [ei for ei in range(graph.edge_count) if ei not in fixed]
+    base = [ei for ei, value in fixed.items() if value == 1]
+    return _subgraph_sum(graph, base, free), 1 << len(free)

@@ -135,6 +135,27 @@ def test_exit_code_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"sigma0": 5, "sigma1": 3},
+        {"sigma0": [1, 2], "sigma1": [[1, 2]]},
+        {"sigma0": [[1, 2]], "sigma1": [[1, 2.0]]},
+        {"sigma0": [[True, 2]], "sigma1": [[1, 2]]},
+        {"sigma0": [[1, 2]], "sigma1": [[1, 2]], "edge_order": 3},
+        {"sigma0": [[1, 2]], "sigma1": [[1, 2]], "edge_order": [True]},
+        {"sigma0": [[1, 2]], "sigma1": [[1, 2]], "edge_order": ["1"]},
+    ],
+)
+def test_malformed_document_is_one_line_error(tmp_path, capsys, document):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    assert main(["compute", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load graph: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_exit_code_size_cap(genus2_file, capsys):
     assert main(["compute", genus2_file, "--method", "statesum", "--cap", "3"]) == 3
     capsys.readouterr()

@@ -27,6 +27,7 @@ from ribbonpoly.generate import (
     all_one_vertex_graphs,
     random_connected_ribbon_graph,
 )
+from oracles import interval_state_sum
 from conftest import (
     GENUS2_POLY,
     GENUS2_SPANNING_TREE_TABLE,
@@ -46,15 +47,15 @@ def test_state_sum_worked_graph(genus2_graph):
 
 def test_state_sum_restricted_to_interval(genus2_graph):
     # all resolutions extending ****01
-    result = state_sum(genus2_graph, interval={4: 0, 5: 1})
-    assert result.term_count == 16
-    assert result.polynomial == X * Y * (ONE + Y) * (X + 1 + Y * Z)
+    polynomial, subgraphs = interval_state_sum(genus2_graph, {4: 0, 5: 1})
+    assert subgraphs == 16
+    assert polynomial == X * Y * (ONE + Y) * (X + 1 + Y * Z)
 
 
 def test_state_sum_interval_accepts_partial_resolution(genus2_graph):
     by_bits = {q.bitstring(): q for q in enumerate_quasi_trees(genus2_graph)}
     resolution = by_bits["011101"].resolution
-    assert state_sum(genus2_graph, interval=resolution).polynomial == X * Y * (
+    assert interval_state_sum(genus2_graph, resolution)[0] == X * Y * (
         ONE + Y
     ) * (X + 1 + Y * Z)
 
@@ -203,6 +204,13 @@ def test_duality_random_graphs():
 def test_duality_requires_connected(one_loop):
     with pytest.raises(Disconnected):
         duality_check(disjoint_union(one_loop, one_loop))
+
+
+def test_duality_point_count_must_fit_the_sample_pool(torus_theta):
+    # X and Y each take 37 values, 36 of them usable: 1296 distinct points
+    for point_count in (0, 1297):
+        with pytest.raises(ValueError):
+            duality_check(torus_theta, point_count=point_count)
 
 
 # -- specializations ------------------------------------------------------------

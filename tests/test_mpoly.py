@@ -7,6 +7,7 @@ from ribbonpoly import (
     MPoly,
     NegativeExponent,
     ONE,
+    RibbonPolyError,
     T,
     X,
     Y,
@@ -56,6 +57,19 @@ def test_parse_rejects_garbage():
         MPoly.parse("W + 1")
     with pytest.raises(ValueError):
         MPoly.parse("2**X")
+
+
+@pytest.mark.parametrize("text", ["X^-1", "Y^+2", "X^", "2*X^-3 + 1"])
+def test_parse_rejects_signed_or_missing_exponents(text):
+    with pytest.raises(ValueError):
+        MPoly.parse(text)
+
+
+def test_integer_constants_hash_like_ints():
+    assert MPoly.constant(5) in {5}
+    assert MPoly.zero() in {0}
+    assert hash(MPoly.constant(-3)) == hash(-3)
+    assert {MPoly.constant(7): "seven"}[7] == "seven"
 
 
 def test_zero_forms():
@@ -109,6 +123,13 @@ def test_counting_substitution_rejects_bad_input():
         counting_substitution(Z)  # genus without nullity
     with pytest.raises(ValueError):
         counting_substitution(T + 1)
+
+
+def test_counting_substitution_raises_when_x_survives(monkeypatch):
+    # the check must raise, not assert, so that python -O keeps it
+    monkeypatch.setattr(MPoly, "substitute", lambda self, **_: self)
+    with pytest.raises(RibbonPolyError):
+        counting_substitution(X * Y)
 
 
 def test_json_terms_roundtrip():

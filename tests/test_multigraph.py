@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ribbonpoly import Disconnected, MPoly, MultiGraph, ONE, X, Y, Z
+from oracles import tutte_by_subgraph_sum
 
 
 def test_single_loop_is_y():
@@ -25,14 +26,14 @@ def test_path_is_x_to_the_edges():
 
 def test_triangle():
     g = MultiGraph(3, ((0, 1, 0), (1, 2, 1), (2, 0, 2)))
-    assert g.tutte_by_subgraph_sum() == X**2 + X + Y
+    assert tutte_by_subgraph_sum(g) == X**2 + X + Y
     assert g.tutte_polynomial() == X**2 + X + Y
 
 
 def test_disconnected_is_product():
     g = MultiGraph(4, ((0, 1, 0), (2, 3, 1), (2, 3, 2)))
     assert g.tutte_polynomial() == X * (X + Y)
-    assert g.tutte_polynomial() == g.tutte_by_subgraph_sum()
+    assert g.tutte_polynomial() == tutte_by_subgraph_sum(g)
 
 
 def _random_multigraph(rng):
@@ -48,7 +49,7 @@ def test_deletion_contraction_matches_subgraph_sum():
     rng = random.Random(99)
     for _ in range(40):
         g = _random_multigraph(rng)
-        assert g.tutte_polynomial() == g.tutte_by_subgraph_sum()
+        assert g.tutte_polynomial() == tutte_by_subgraph_sum(g)
 
 
 def test_order_independence():

@@ -23,6 +23,7 @@ from ribbonpoly import (
 )
 from ribbonpoly.generate import all_one_vertex_graphs, random_connected_ribbon_graph
 from conftest import GENUS2_POLY, GENUS2_QUASI_TREE_TABLE
+from oracles import completions, contains, resolution_string
 
 
 def brute_force_quasi_trees(graph):
@@ -126,9 +127,9 @@ def test_disconnected_root_raises(one_loop):
 def test_resolution_of_named_leaf(genus2_graph):
     by_bits = {q.bitstring(): q for q in enumerate_quasi_trees(genus2_graph)}
     q = by_bits["011101"]
-    assert q.resolution.string(q.order) == "****01"
+    assert resolution_string(q.resolution, q.order) == "****01"
     assert q.resolution.interval_size() == 16
-    assert q.resolution.contains(q.edges)
+    assert contains(q.resolution, q.edges)
 
 
 def test_enumeration_matches_brute_force_on_fixtures(
@@ -173,7 +174,7 @@ def test_leaf_intervals_partition_the_subset_lattice():
         assert sum(q.resolution.interval_size() for q in qts) == 2**graph.edge_count
         seen = set()
         for q in qts:
-            for completion in q.resolution.completions():
+            for completion in completions(q.resolution):
                 assert completion not in seen
                 seen.add(completion)
         assert len(seen) == 2**graph.edge_count
