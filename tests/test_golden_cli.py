@@ -1,7 +1,9 @@
 """Byte-for-byte CLI output on every sample graph, against a stored capture.
 
 Every command runs in-process on every ``graphs/*.json`` document, in both
-output formats.  Standard output and the exit code must equal the capture
+output formats.  The commands whose output depends on the edge order
+(bitstrings, activity strings, the dual's ``edge_order``) also run with
+``--order`` reversing each document's edges.  Standard output and the exit code must equal the capture
 in ``golden_cli.json``.  Only timings are masked: the ``elapsed_ms`` values
 of JSON payloads and the ``ms`` column of the ``verify`` table (which
 ``compute --method all`` also prints).
@@ -38,19 +40,43 @@ COMMANDS = (
     ("dual",),
     ("spanning-trees",),
 )
+ORDERED_COMMANDS = (
+    ("quasitrees",),
+    ("spanning-trees",),
+    ("compute", "--method", "all"),
+    ("count",),
+    ("dual",),
+)
 TIMED_TEXT = {("compute", "--method", "all"), ("verify",)}
 
 _JSON_MS = re.compile(r'"elapsed_ms": [-+0-9.eE]+')
 _TEXT_MS = re.compile(r"^(\S+ +\d+ +)\d+\.\d\d +", re.M)
 
 
+def _reversed_order(path: str) -> str:
+    edge_count = len(json.loads((ROOT / path).read_text(encoding="utf-8"))["sigma1"])
+    return ",".join(str(i) for i in range(edge_count, 0, -1))
+
+
 def _cases() -> list[tuple[str, ...]]:
-    return [
+    plain = [
         (*command, path, "--format", fmt)
         for path in FIXTURES
         for command in COMMANDS
         for fmt in ("text", "json")
     ]
+    reordered = [
+        (*command, path, "--order", _reversed_order(path), "--format", fmt)
+        for path in FIXTURES
+        for command in ORDERED_COMMANDS
+        for fmt in ("text", "json")
+    ]
+    return plain + reordered
+
+
+def _command(argv: tuple[str, ...]) -> tuple[str, ...]:
+    """The words before the graph path."""
+    return argv[: next(i for i, word in enumerate(argv) if word.endswith(".json"))]
 
 
 def _run(argv: tuple[str, ...]) -> dict:
@@ -60,7 +86,7 @@ def _run(argv: tuple[str, ...]) -> dict:
     text = out.getvalue()
     if argv[-1] == "json":
         text = _JSON_MS.sub('"elapsed_ms": "<ms>"', text)
-    elif argv[: -3] in TIMED_TEXT:
+    elif _command(argv) in TIMED_TEXT:
         text = _TEXT_MS.sub(r"\1<ms>  ", text)
     return {"exit": code, "stdout": text}
 
