@@ -39,7 +39,7 @@ from .expansions import (
     spanning_tree_rows,
     verify_all,
 )
-from .mpoly import counting_substitution
+from .mpoly import genus_counting_series
 from .quasitrees import enumerate_quasi_trees, genus_histogram, quasi_tree_weight
 from .ribbon import RibbonGraph, graph_from_json, graph_to_json_dict
 
@@ -162,7 +162,7 @@ def _run_verify(cfg: RunConfig, graph: RibbonGraph) -> int:
 def _run_compute(cfg: RunConfig, graph: RibbonGraph) -> int:
     if cfg.method == "all":
         return _run_verify(cfg, graph)
-    result = compute(graph, Method(cfg.method), order=None, cap=cfg.size_cap)
+    result = compute(graph, Method(cfg.method), cap=cfg.size_cap)
     payload = {
         "command": "compute",
         "method": cfg.method,
@@ -218,8 +218,7 @@ def _run_quasitrees(cfg: RunConfig, graph: RibbonGraph) -> int:
 
 
 def _run_count(cfg: RunConfig, graph: RibbonGraph) -> int:
-    poly = compute(graph, Method.QUASI_TREE).polynomial
-    series = counting_substitution(poly).substitute(y=0)
+    series = genus_counting_series(compute(graph, Method.QUASI_TREE).polynomial)
     by_genus = {key[3]: coeff for key, coeff in series.sorted_terms()}
     total = sum(by_genus.values())
     payload = {
@@ -234,11 +233,11 @@ def _run_count(cfg: RunConfig, graph: RibbonGraph) -> int:
 
 def _run_dual(cfg: RunConfig, graph: RibbonGraph) -> int:
     report = duality_check(graph, seed=cfg.seed, cap=cfg.size_cap)
-    dual_doc = graph_to_json_dict(graph.dual())
-    payload = {"command": "dual", "dual": dual_doc, **report.to_json_dict()}
+    dual = graph.dual()
+    payload = {"command": "dual", "dual": graph_to_json_dict(dual), **report.to_json_dict()}
     lines = [
-        f"dual sigma0: {graph.dual().sigma0.cycle_string()}",
-        f"dual sigma1: {graph.dual().sigma1.cycle_string()}",
+        f"dual sigma0: {dual.sigma0.cycle_string()}",
+        f"dual sigma1: {dual.sigma1.cycle_string()}",
         f"genus histogram:      {report.genus_histogram}",
         f"dual genus histogram: {report.dual_genus_histogram}",
         "quasi-tree complement bijection: ok",

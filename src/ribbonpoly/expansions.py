@@ -132,13 +132,14 @@ class SpanningTreeRow:
         return MPoly.monomial(1, x=self.internal_count)
 
 
-def spanning_tree_rows(
-    graph: RibbonGraph, order: Sequence[int] | None = None
-) -> list[SpanningTreeRow]:
-    """Per-tree data of the spanning-tree expansion, in enumeration order."""
+def spanning_tree_rows(graph: RibbonGraph) -> list[SpanningTreeRow]:
+    """Per-tree data of the spanning-tree expansion, in enumeration order.
+
+    Activities are taken with respect to ``graph.edge_order``.
+    """
     if not graph.is_connected:
         raise Disconnected("the spanning-tree expansion requires a connected graph")
-    order = graph.resolve_edge_order(order)
+    order = graph.edge_order
     trees = graph.underlying_multigraph().spanning_trees_with_activities(order)
     rows = []
     for tree in trees:
@@ -161,16 +162,14 @@ def spanning_tree_rows(
     return rows
 
 
-def spanning_tree_expansion(
-    graph: RibbonGraph, order: Sequence[int] | None = None
-) -> BrtResult:
+def spanning_tree_expansion(graph: RibbonGraph) -> BrtResult:
     """For every spanning tree T: X^i(T) times the subgraph sum over
     subsets of T's externally active edges (genus and nullity taken in the
     ribbon graph)."""
     start = time.perf_counter()
     total = MPoly.zero()
     summands = 0
-    for row in spanning_tree_rows(graph, order):
+    for row in spanning_tree_rows(graph):
         summands += 1 << row.external_count
         total = total + row.x_factor * row.inner_weight
     return BrtResult(total, Method.SPANNING_TREE, summands, time.perf_counter() - start)
@@ -208,28 +207,25 @@ def deletion_contraction(graph: RibbonGraph) -> BrtResult:
     return BrtResult(total, Method.RECURSIVE, base_summands, time.perf_counter() - start)
 
 
-def quasi_tree_sum(graph: RibbonGraph, order: Sequence[int] | None = None) -> BrtResult:
+def quasi_tree_sum(graph: RibbonGraph) -> BrtResult:
     """The quasi-tree expansion wrapped with its summand count and timing."""
     start = time.perf_counter()
-    quasi_trees = enumerate_quasi_trees(graph, order)
+    quasi_trees = enumerate_quasi_trees(graph)
     total = _weight_sum(quasi_trees)
     return BrtResult(total, Method.QUASI_TREE, len(quasi_trees), time.perf_counter() - start)
 
 
 def compute(
-    graph: RibbonGraph,
-    method: Method | str,
-    order: Sequence[int] | None = None,
-    cap: int = DEFAULT_SUBGRAPH_CAP,
+    graph: RibbonGraph, method: Method | str, cap: int = DEFAULT_SUBGRAPH_CAP
 ) -> BrtResult:
     method = Method(method)
     if method is Method.STATE_SUM:
         return state_sum(graph, cap)
     if method is Method.SPANNING_TREE:
-        return spanning_tree_expansion(graph, order)
+        return spanning_tree_expansion(graph)
     if method is Method.RECURSIVE:
         return deletion_contraction(graph)
-    return quasi_tree_sum(graph, order)
+    return quasi_tree_sum(graph)
 
 
 @dataclass(frozen=True)
@@ -261,11 +257,7 @@ class VerifyReport:
         }
 
 
-def verify_all(
-    graph: RibbonGraph,
-    order: Sequence[int] | None = None,
-    cap: int = DEFAULT_SUBGRAPH_CAP,
-) -> VerifyReport:
+def verify_all(graph: RibbonGraph, cap: int = DEFAULT_SUBGRAPH_CAP) -> VerifyReport:
     """Run all methods, demand exact agreement, and check the Tutte slice.
 
     The two expansion methods need a connected graph and are skipped
@@ -276,8 +268,8 @@ def verify_all(
     results: dict[Method, BrtResult] = {Method.STATE_SUM: state_sum(graph, cap)}
     results[Method.RECURSIVE] = deletion_contraction(graph)
     if graph.is_connected:
-        results[Method.SPANNING_TREE] = spanning_tree_expansion(graph, order)
-        results[Method.QUASI_TREE] = quasi_tree_sum(graph, order)
+        results[Method.SPANNING_TREE] = spanning_tree_expansion(graph)
+        results[Method.QUASI_TREE] = quasi_tree_sum(graph)
     reference = results[Method.STATE_SUM]
     for method, result in results.items():
         if result.polynomial != reference.polynomial:

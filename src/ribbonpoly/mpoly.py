@@ -72,10 +72,6 @@ class MPoly:
     def coefficient(self, x: int = 0, y: int = 0, z: int = 0, t: int = 0) -> int:
         return self._terms.get((x, y, z, t), 0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def term_count(self) -> int:
         return len(self._terms)
 

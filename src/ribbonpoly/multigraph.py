@@ -120,17 +120,16 @@ class MultiGraph:
 
     # -- Tutte polynomial ----------------------------------------------
 
-    def tutte_polynomial(self, order: Sequence[int] | None = None) -> MPoly:
+    def tutte_polynomial(self) -> MPoly:
         """Tutte polynomial via deletion/contraction, in the X/Y slots.
 
-        Recurses on the highest-ordered edge that is neither a loop nor a
-        bridge; the terminal graphs contribute x^bridges * y^loops.  The
-        result is independent of the order; fixing it keeps runs
-        deterministic.  Disconnected graphs give the product over their
+        Recurses on the edge with the highest id that is neither a loop nor
+        a bridge; the terminal graphs contribute x^bridges * y^loops.  The
+        result does not depend on which edge is the pivot, so no edge order
+        is taken.  Disconnected graphs give the product over their
         components (isolated vertices contribute the empty product 1).
         """
-        rank = self._rank_of(order)
-        return _tutte_recursive(self.vertex_count, self.edges, rank)
+        return _tutte_recursive(self.vertex_count, self.edges)
 
     # -- spanning trees and activities ------------------------------------
 
@@ -234,7 +233,7 @@ class MultiGraph:
         return path
 
 
-def _tutte_recursive(vertex_count: int, edges: tuple[Edge, ...], rank: dict[int, int]) -> MPoly:
+def _tutte_recursive(vertex_count: int, edges: tuple[Edge, ...]) -> MPoly:
     loops = 0
     non_loop_edges = []
     for e in edges:
@@ -254,14 +253,14 @@ def _tutte_recursive(vertex_count: int, edges: tuple[Edge, ...], rank: dict[int,
             candidates.append(e)
     if not candidates:
         return X**bridges * Y**loops
-    pivot = max(candidates, key=lambda e: rank[e[2]])
+    pivot = max(candidates, key=lambda e: e[2])
     deleted = tuple(e for e in edges if e[2] != pivot[2])
     u0, v0 = pivot[0], pivot[1]
     merged = tuple(
         (u0 if u == v0 else u, u0 if v == v0 else v, eid) for u, v, eid in deleted
     )
-    return _tutte_recursive(vertex_count, deleted, rank) + _tutte_recursive(
-        vertex_count - 1, _drop_vertex(merged, v0), rank
+    return _tutte_recursive(vertex_count, deleted) + _tutte_recursive(
+        vertex_count - 1, _drop_vertex(merged, v0)
     )
 
 

@@ -6,7 +6,7 @@ Composition is functional and right-to-left, so ``(p * q)(i) == p(q(i))``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class Perm:
@@ -106,9 +106,6 @@ class Perm:
         if not orbits:
             return "()"
         return "".join("(" + ",".join(map(str, o)) + ")" for o in orbits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._images)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self._images == other._images

@@ -60,10 +60,6 @@ class Activity(Enum):
     def is_live(self) -> bool:
         return self in (Activity.INTERNALLY_LIVE, Activity.EXTERNALLY_LIVE)
 
-    @property
-    def is_internal(self) -> bool:
-        return self in (Activity.INTERNALLY_LIVE, Activity.INTERNALLY_DEAD)
-
 
 class ChordDiagram:
     """The marked boundary circle of a quasi-tree with edge pairs as chords."""
@@ -170,7 +166,6 @@ class QuasiTree:
     diagram: ChordDiagram = field(repr=False)
     activities: tuple[Activity, ...]
     resolution: PartialResolution
-    order: tuple[int, ...]
     dead_subgraph: SpanningSubgraph = field(repr=False)
     contracted_graph: MultiGraph = field(repr=False)
 
@@ -198,11 +193,11 @@ class QuasiTree:
             e for e, a in enumerate(self.activities) if a is Activity.EXTERNALLY_LIVE
         )
 
-    def bitstring(self, order: Sequence[int] | None = None) -> str:
-        return self.subgraph.bitstring(order if order is not None else self.order)
+    def bitstring(self) -> str:
+        return self.subgraph.bitstring()
 
-    def activity_string(self, order: Sequence[int] | None = None) -> str:
-        return activity_string(self.activities, order if order is not None else self.order)
+    def activity_string(self) -> str:
+        return activity_string(self.activities, self.parent.edge_order)
 
 
 def _contracted_graph(
@@ -235,7 +230,6 @@ def _build_quasi_tree(
     graph: RibbonGraph,
     edge_set: frozenset[int],
     states: Sequence[int | None],
-    order: tuple[int, ...],
 ) -> QuasiTree:
     subgraph = graph.spanning_subgraph(edge_set)
     if not subgraph.is_quasi_tree:
@@ -244,7 +238,7 @@ def _build_quasi_tree(
             f"(f={subgraph.faces}, k={subgraph.components})"
         )
     diagram = chord_diagram(graph, edge_set)
-    activities = classify_activities(diagram, edge_set, order)
+    activities = classify_activities(diagram, edge_set, graph.edge_order)
     resolution = PartialResolution(tuple(states))
     live = frozenset(e for e, a in enumerate(activities) if a.is_live)
     if live != frozenset(resolution.unresolved()):
@@ -263,7 +257,6 @@ def _build_quasi_tree(
         diagram=diagram,
         activities=activities,
         resolution=resolution,
-        order=order,
         dead_subgraph=dead_subgraph,
         contracted_graph=_contracted_graph(graph, dead_edges, live_internal),
     )
@@ -293,21 +286,19 @@ def _gamma_connected(
     return count == 1 or _union_find(count, stars, ids)[0] == 1
 
 
-def enumerate_quasi_trees(
-    graph: RibbonGraph, order: Sequence[int] | None = None
-) -> list[QuasiTree]:
+def enumerate_quasi_trees(graph: RibbonGraph) -> list[QuasiTree]:
     """All quasi-trees, one per leaf of the binary resolution tree.
 
-    Edges are resolved from the highest order down; nugatory edges are
-    skipped once and never revisited.  Leaves are emitted left (0-branch)
-    to right, deterministically.  Raises
+    Edges are resolved from the highest in ``graph.edge_order`` down;
+    nugatory edges are skipped once and never revisited.  Leaves are
+    emitted left (0-branch) to right, deterministically.  Raises
     :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
     """
     if graph.is_trivial:
-        return [_build_quasi_tree(graph, frozenset(), (), ())]
+        return [_build_quasi_tree(graph, frozenset(), ())]
     if not graph.is_connected:
         raise SplitRoot("quasi-tree enumeration requires a connected graph")
-    order = graph.resolve_edge_order(order)
+    order = graph.edge_order
     edge_count = len(graph.edges)
     out: list[QuasiTree] = []
     stack: list[tuple[tuple[int | None, ...], int]] = [
@@ -340,7 +331,7 @@ def enumerate_quasi_trees(
         for eid, state in enumerate(states):
             if state is None and _gamma_connected(graph, states, eid, 1):
                 chosen.add(eid)
-        out.append(_build_quasi_tree(graph, frozenset(chosen), states, order))
+        out.append(_build_quasi_tree(graph, frozenset(chosen), states))
     return out
 
 
@@ -403,9 +394,7 @@ def _weight_sum(quasi_trees: Iterable[QuasiTree]) -> MPoly:
     return total
 
 
-def quasi_tree_expansion(
-    graph: RibbonGraph, order: Sequence[int] | None = None
-) -> MPoly:
+def quasi_tree_expansion(graph: RibbonGraph) -> MPoly:
     """The three-variable polynomial as a sum of quasi-tree weights.
 
     One summand per quasi-tree; the result does not depend on the edge
@@ -413,4 +402,4 @@ def quasi_tree_expansion(
     every contracted graph is a bouquet of loops, so the Tutte factor
     degenerates to (1+YZ)^|internal live|.
     """
-    return _weight_sum(enumerate_quasi_trees(graph, order))
+    return _weight_sum(enumerate_quasi_trees(graph))

@@ -6,7 +6,7 @@ are the vertices (counterclockwise order of half-edges at each vertex),
 the orbits of the fixed-point-free involution ``sigma1`` are the edges,
 and the orbits of ``sigma2`` are the faces.  The triple satisfies
 ``sigma0(sigma1(sigma2(i))) == i`` for every half-edge ``i``, so
-``sigma2 = (sigma0 * sigma1)^-1`` is derived, never stored independently.
+``sigma2 = (sigma0 * sigma1)^-1`` is derived on access, never stored.
 
 This data is equivalent to a cellular embedding of a multigraph in a
 closed oriented surface; with ``v``, ``e``, ``f``, ``k`` the numbers of
@@ -70,14 +70,15 @@ class RibbonGraph:
     Edges are the pairs ``{i, sigma1(i)}``, identified by their index in
     :attr:`edges`, which lists the pairs ``(min, max)`` sorted by their
     smaller half-edge.  :attr:`edge_order` is a tuple of edge indices from
-    lowest-ordered to highest; the default order is by smaller half-edge,
-    but activity computations accept reorderings.
+    lowest-ordered to highest; the default order is by smaller half-edge.
+    Every order-dependent computation (bitstrings, activities, the
+    resolution tree) reads this order; :meth:`with_edge_order` gives the
+    same graph under another one.
     """
 
     __slots__ = (
         "sigma0",
         "sigma1",
-        "sigma2",
         "half_edge_count",
         "vertices",
         "edges",
@@ -97,7 +98,6 @@ class RibbonGraph:
             raise NotInvolution("sigma1 must be a fixed-point-free involution")
         self.sigma0 = sigma0
         self.sigma1 = sigma1
-        self.sigma2 = (sigma0 * sigma1).inverse()
         self.half_edge_count = n2
         self.vertices = tuple(sigma0.orbits())
         self.edges = tuple(
@@ -151,8 +151,8 @@ class RibbonGraph:
         return self._component_count == 1
 
     @property
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.sigma2.orbits())
+    def sigma2(self) -> Perm:
+        return (self.sigma0 * self.sigma1).inverse()
 
     def counts(self) -> GraphCounts:
         """The tuple ``(v, e, f, k, g, n)`` of standard invariants."""
@@ -160,7 +160,7 @@ class RibbonGraph:
             return GraphCounts(1, 0, 1, 1, 0, 0)
         v = len(self.vertices)
         e = len(self.edges)
-        f = self.sigma2.orbit_count()
+        f = self._boundary_walk(range(e))[0]
         k = self._component_count
         g = _genus_from(k, v, e, f)
         return GraphCounts(v, e, f, k, g, e - v + k)
@@ -182,8 +182,12 @@ class RibbonGraph:
     # -- spanning subgraphs --------------------------------------------
 
     def _membership(self, edges: Iterable[int]) -> list[bool]:
-        member = [False] * len(self.edges)
+        """Per-edge membership flags; raises ValueError on an index outside the edges."""
+        count = len(self.edges)
+        member = [False] * count
         for ei in edges:
+            if not 0 <= ei < count:
+                raise ValueError(f"edge index {ei} out of range for {count} edges")
             member[ei] = True
         return member
 
@@ -216,9 +220,8 @@ class RibbonGraph:
 
     def face_count(self, edges: Iterable[int]) -> int:
         """Number of boundary components of the spanning subgraph ``edges``."""
-        if self.is_trivial:
-            return 1
-        return self._boundary_walk(edges)[0]
+        # the trivial graph has no half-edges to walk but one face
+        return self._boundary_walk(edges)[0] or 1
 
     def boundary_components(self, edges: Iterable[int]) -> list[tuple[int, ...]]:
         """Boundary walks of the spanning subgraph, one cycle per face.
@@ -241,20 +244,17 @@ class RibbonGraph:
     def subgraph_counts(self, edges: Iterable[int]) -> SubgraphCounts:
         """``(k, e, f, n, g)`` for the spanning subgraph with the given edges."""
         edges = list(edges)
+        f = self.face_count(edges)
         if self.is_trivial:
             return SubgraphCounts(1, 0, 1, 0, 0)
         v = len(self.vertices)
         k = _union_find(v, map(self.edges.__getitem__, edges), self._vertex_of)[0]
         e_h = len(edges)
-        f = self.face_count(edges)
         g = _genus_from(k, v, e_h, f)
         return SubgraphCounts(k, e_h, f, e_h - v + k, g)
 
     def spanning_subgraph(self, edges: Iterable[int]) -> SpanningSubgraph:
         edge_set = frozenset(edges)
-        for ei in edge_set:
-            if not 0 <= ei < len(self.edges):
-                raise ValueError(f"edge index {ei} out of range")
         k, e_h, f, n, g = self.subgraph_counts(edge_set)
         if f < k:
             raise AssertionError("face count below component count")
@@ -262,24 +262,17 @@ class RibbonGraph:
 
     # -- edge-order helpers --------------------------------------------
 
-    def resolve_edge_order(self, order: Sequence[int] | None) -> tuple[int, ...]:
-        if order is None:
-            return self.edge_order
-        order = tuple(order)
-        if sorted(order) != list(range(len(self.edges))):
-            raise ValueError(f"order {order!r} is not a permutation of the edge indices")
-        return order
-
-    def bitstring(self, edges: Iterable[int], order: Sequence[int] | None = None) -> str:
+    def bitstring(self, edges: Iterable[int]) -> str:
         """Membership string of an edge subset, one character per order position."""
         member = self._membership(edges)
-        return "".join("1" if member[ei] else "0" for ei in self.resolve_edge_order(order))
+        return "".join("1" if member[ei] else "0" for ei in self.edge_order)
 
-    def subset_from_bitstring(self, bits: str, order: Sequence[int] | None = None) -> frozenset[int]:
-        order = self.resolve_edge_order(order)
-        if len(bits) != len(order):
-            raise ValueError(f"bitstring {bits!r} has wrong length for {len(order)} edges")
-        return frozenset(ei for ei, bit in zip(order, bits) if bit == "1")
+    def subset_from_bitstring(self, bits: str) -> frozenset[int]:
+        if len(bits) != len(self.edges):
+            raise ValueError(f"bitstring {bits!r} has wrong length for {len(self.edges)} edges")
+        if not set(bits) <= {"0", "1"}:
+            raise ValueError(f"bitstring {bits!r} has a character other than 0 and 1")
+        return frozenset(ei for ei, bit in zip(self.edge_order, bits) if bit == "1")
 
     def with_edge_order(self, order: Sequence[int]) -> RibbonGraph:
         return RibbonGraph(self.sigma0, self.sigma1, edge_order=order)
@@ -409,8 +402,8 @@ class SpanningSubgraph:
     nullity: int
     genus: int
 
-    def bitstring(self, order: Sequence[int] | None = None) -> str:
-        return self.parent.bitstring(self.edges, order)
+    def bitstring(self) -> str:
+        return self.parent.bitstring(self.edges)
 
     def boundary_components(self) -> list[tuple[int, ...]]:
         return self.parent.boundary_components(self.edges)

@@ -127,7 +127,7 @@ def test_disconnected_root_raises(one_loop):
 def test_resolution_of_named_leaf(genus2_graph):
     by_bits = {q.bitstring(): q for q in enumerate_quasi_trees(genus2_graph)}
     q = by_bits["011101"]
-    assert resolution_string(q.resolution, q.order) == "****01"
+    assert resolution_string(q.resolution, q.parent.edge_order) == "****01"
     assert q.resolution.interval_size() == 16
     assert contains(q.resolution, q.edges)
 
@@ -297,7 +297,7 @@ def test_expansion_is_edge_order_independent(genus2_graph, torus_theta):
         ids = list(range(graph.edge_count))
         for _ in range(5):
             rng.shuffle(ids)
-            assert quasi_tree_expansion(graph, list(ids)) == reference
+            assert quasi_tree_expansion(graph.with_edge_order(ids)) == reference
 
 
 def test_contracted_graph_shape(genus2_graph):

@@ -266,8 +266,30 @@ def test_bitstring_roundtrip(genus2_graph):
     subset = genus2_graph.subset_from_bitstring("011101")
     assert subset == frozenset({1, 2, 3, 5})
     assert genus2_graph.bitstring(subset) == "011101"
-    swapped = (3, 1, 2, 0, 4, 5)
-    assert genus2_graph.bitstring(subset, swapped) == "111001"
+    swapped = genus2_graph.with_edge_order((3, 1, 2, 0, 4, 5))
+    assert swapped.bitstring(subset) == "111001"
+
+
+@pytest.mark.parametrize(
+    "query, argument",
+    [
+        (query, [index])
+        for query in (
+            "face_count",
+            "face_orbit_ids",
+            "boundary_components",
+            "subgraph_counts",
+            "bitstring",
+        )
+        for index in (-1, 6)
+    ]
+    + [("subset_from_bitstring", "11111x"), ("subset_from_bitstring", "1111 1")],
+)
+def test_bad_edge_subset_raises(genus2_graph, query, argument):
+    # -1 used to wrap round to the last edge and 6 to raise IndexError;
+    # a character other than 0 and 1 used to read as 0
+    with pytest.raises(ValueError):
+        getattr(genus2_graph, query)(argument)
 
 
 def test_edge_order_override_validation(genus2_graph):
