@@ -152,6 +152,7 @@ class RibbonGraph:
 
     @property
     def sigma2(self) -> Perm:
+        """The face permutation ``(sigma0 * sigma1)^-1``, built on each access."""
         return (self.sigma0 * self.sigma1).inverse()
 
     def counts(self) -> GraphCounts:

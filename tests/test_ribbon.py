@@ -286,8 +286,7 @@ def test_bitstring_roundtrip(genus2_graph):
     + [("subset_from_bitstring", "11111x"), ("subset_from_bitstring", "1111 1")],
 )
 def test_bad_edge_subset_raises(genus2_graph, query, argument):
-    # -1 used to wrap round to the last edge and 6 to raise IndexError;
-    # a character other than 0 and 1 used to read as 0
+    # unchecked, -1 would index the last edge and "x" would read as "0"
     with pytest.raises(ValueError):
         getattr(genus2_graph, query)(argument)
 
