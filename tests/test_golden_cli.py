@@ -3,8 +3,8 @@
 Every command runs in-process on every ``graphs/*.json`` document, in both
 output formats.  The commands whose output depends on the edge order
 (bitstrings, activity strings, the dual's ``edge_order``) also run with
-``--order`` reversing each document's edges.  Standard output and the exit code must equal the capture
-in ``golden_cli.json``.  Only timings are masked: the ``elapsed_ms`` values
+``--order`` reversing each document's edges.  Standard output and the exit
+code must equal the capture in ``golden_cli.json``.  Only timings are masked: the ``elapsed_ms`` values
 of JSON payloads and the ``ms`` column of the ``verify`` table (which
 ``compute --method all`` also prints).
 
