@@ -10,7 +10,11 @@ independent route, so that tests can compare the two:
 * :func:`tutte_by_subgraph_sum` is the defining sum of the Tutte
   polynomial, an oracle for deletion/contraction;
 * :func:`interval_state_sum` is the state sum restricted to the interval
-  of a partial resolution.
+  of a partial resolution;
+* :func:`delete_edge`, :func:`contract_edge` and
+  :func:`connected_components` build minors from vertex cycles through
+  ``build_ribbon_graph``, an oracle for the array splicing of
+  :class:`~ribbonpoly.RibbonGraph`.
 """
 
 from __future__ import annotations
@@ -142,3 +146,73 @@ def interval_state_sum(
     free = [ei for ei in range(graph.edge_count) if ei not in fixed]
     base = [ei for ei, value in fixed.items() if value == 1]
     return _subgraph_sum(graph, base, free), 1 << len(free)
+
+
+# -- minors built from vertex cycles ----------------------------------------------
+
+
+def _rebuild(graph: RibbonGraph, cycles: list[list[int]], removed: set[int]) -> RibbonGraph:
+    """Relabel surviving half-edges to 1..2m and inherit the edge order."""
+    survivors = [h for h in range(1, graph.half_edge_count + 1) if h not in removed]
+    relabel = {h: i for i, h in enumerate(survivors, start=1)}
+    new_cycles = [[relabel[h] for h in c] for c in cycles if c]
+    pairs = [(relabel[a], relabel[b]) for a, b in graph.edges if a in relabel]
+    surviving_edges = [ei for ei, (a, b) in enumerate(graph.edges) if a in relabel]
+    # relabelling is monotone, so surviving edges keep their relative ids
+    new_id = {old: new for new, old in enumerate(surviving_edges)}
+    new_order = [new_id[ei] for ei in graph.edge_order if ei in new_id]
+    return build_ribbon_graph(new_cycles, pairs, edge_order=new_order)
+
+
+def delete_edge(graph: RibbonGraph, edge_id: int) -> RibbonGraph:
+    """The edge's half-edges removed from the vertex cycles."""
+    a, b = graph.edges[edge_id]
+    removed = {a, b}
+    cycles = [[h for h in cycle if h not in removed] for cycle in graph.vertices]
+    return _rebuild(graph, cycles, removed)
+
+
+def contract_edge(graph: RibbonGraph, edge_id: int) -> RibbonGraph:
+    """The cycles of the non-loop edge's endpoints, each opened at the edge, joined."""
+    a, b = graph.edges[edge_id]
+    va, vb = graph.vertex_of(a), graph.vertex_of(b)
+    if va == vb:
+        raise ValueError(f"edge {edge_id} is a loop")
+
+    def opened(cycle: tuple[int, ...], at: int) -> list[int]:
+        pos = cycle.index(at)
+        return [cycle[(pos + j) % len(cycle)] for j in range(1, len(cycle))]
+
+    merged = opened(graph.vertices[va], a) + opened(graph.vertices[vb], b)
+    cycles = [list(cycle) for vi, cycle in enumerate(graph.vertices) if vi not in (va, vb)]
+    cycles.append(merged)
+    return _rebuild(graph, cycles, {a, b})
+
+
+def connected_components(graph: RibbonGraph) -> list[RibbonGraph]:
+    """Components found by a search over shared vertices, each rebuilt from its cycles."""
+    if graph.is_trivial:
+        return [graph]
+    neighbours: dict[int, set[int]] = {vi: set() for vi in range(len(graph.vertices))}
+    for a, b in graph.edges:
+        va, vb = graph.vertex_of(a), graph.vertex_of(b)
+        neighbours[va].add(vb)
+        neighbours[vb].add(va)
+    seen: set[int] = set()
+    groups = []
+    for start in range(len(graph.vertices)):
+        if start in seen:
+            continue
+        group, frontier = {start}, [start]
+        while frontier:
+            for nxt in neighbours[frontier.pop()] - group:
+                group.add(nxt)
+                frontier.append(nxt)
+        seen |= group
+        groups.append(group)
+    out = []
+    for vis in sorted(groups, key=lambda g: min(graph.vertices[vi][0] for vi in g)):
+        keep = {h for vi in vis for h in graph.vertices[vi]}
+        removed = set(range(1, graph.half_edge_count + 1)) - keep
+        out.append(_rebuild(graph, [list(graph.vertices[vi]) for vi in sorted(vis)], removed))
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from ribbonpoly.generate import (
@@ -54,3 +55,15 @@ def test_random_planar_is_deterministic():
     a = random_planar_ribbon_graph(random.Random(7), 4, 3)
     b = random_planar_ribbon_graph(random.Random(7), 4, 3)
     assert a == b
+
+
+def test_random_planar_outputs_are_pinned():
+    # the generator's face choices must not drift when its face walk changes
+    images = [
+        (g.sigma0.images, g.sigma1.images)
+        for size in ((1, 3), (2, 5), (5, 6), (8, 10))
+        for seed in range(50)
+        for g in [random_planar_ribbon_graph(random.Random(seed), *size)]
+    ]
+    digest = hashlib.sha256(repr(images).encode()).hexdigest()
+    assert digest == "ba376704b750681033e546b372b3786f0c6ace05e86d50e75aa1c27fe7e1c33c"

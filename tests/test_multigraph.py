@@ -93,17 +93,22 @@ def test_one_vertex_unique_empty_tree():
 
 def test_activity_sum_reproduces_tutte():
     rng = random.Random(31)
+    order_rng = random.Random(37)
     checked = 0
     while checked < 25:
         g = _random_multigraph(rng)
         if not g.is_connected:
             continue
-        trees = g.spanning_trees_with_activities()
-        total = MPoly.zero()
-        for t in trees:
-            total = total + MPoly.monomial(1, x=t.internal_count, y=t.external_count)
-        assert total == g.tutte_polynomial()
-        assert g.tutte_polynomial().evaluate(x=1, y=1) == len(trees)
+        ids = [eid for _, _, eid in g.edges]
+        shuffled = order_rng.sample(ids, len(ids))
+        # Tutte's theorem holds for every edge order
+        for order in (None, shuffled):
+            trees = g.spanning_trees_with_activities(order)
+            total = MPoly.zero()
+            for t in trees:
+                total = total + MPoly.monomial(1, x=t.internal_count, y=t.external_count)
+            assert total == g.tutte_polynomial()
+            assert g.tutte_polynomial().evaluate(x=1, y=1) == len(trees)
         checked += 1
 
 

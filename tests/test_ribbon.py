@@ -14,7 +14,8 @@ from ribbonpoly import (
     graph_from_json,
     graph_to_json_dict,
 )
-from ribbonpoly.generate import random_connected_ribbon_graph
+from ribbonpoly.generate import random_connected_ribbon_graph, random_planar_ribbon_graph
+import oracles
 from oracles import restrict
 
 
@@ -221,6 +222,49 @@ def test_contract_preserves_components_and_genus():
 
 
 # -- duality ---------------------------------------------------------------------
+
+
+def _random_small_maps(seed, count):
+    """Seeded maps with 1 to 5 vertices, each also under its reversed edge order.
+
+    Random rotations give vertices of every degree; planar maps also give
+    degree-one vertices, which vanish from a deletion.
+    """
+    rng = random.Random(seed)
+    maps = []
+    while len(maps) < count:
+        if rng.random() < 0.5:
+            g = random_connected_ribbon_graph(rng, rng.randint(1, 6))
+        else:
+            g = random_planar_ribbon_graph(rng, rng.randint(1, 5), rng.randint(0, 3))
+        if g.is_trivial or g.vertex_count > 5:
+            continue
+        maps.append(g)
+        maps.append(g.with_edge_order(g.edge_order[::-1]))
+    return maps
+
+
+def test_minors_match_cycle_oracle():
+    for g in _random_small_maps(23, 60):
+        for ei in range(g.edge_count):
+            assert g.delete_edge(ei) == oracles.delete_edge(g, ei)
+            if not g.is_loop(ei):
+                assert g.contract_edge(ei) == oracles.contract_edge(g, ei)
+
+
+def test_components_match_cycle_oracle():
+    maps = _random_small_maps(29, 30)
+    rng = random.Random(31)
+    for _ in range(40):
+        union = maps[rng.randrange(len(maps))]
+        for _ in range(rng.randint(0, 2)):
+            union = disjoint_union(union, maps[rng.randrange(len(maps))])
+        assert union.connected_components() == oracles.connected_components(union)
+        # a reversed order interleaves the components' edges in the order
+        reversed_union = union.with_edge_order(union.edge_order[::-1])
+        assert reversed_union.connected_components() == oracles.connected_components(
+            reversed_union
+        )
 
 
 def test_dual_counts(torus_theta, genus2_graph):
