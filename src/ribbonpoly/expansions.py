@@ -191,11 +191,7 @@ def deletion_contraction(graph: RibbonGraph) -> BrtResult:
             base_summands += 1 << g.edge_count
             return _subgraph_sum(g, [], range(g.edge_count))
         # connected with >= 2 vertices, so a non-loop edge exists
-        rank = {eid: pos for pos, eid in enumerate(g.edge_order)}
-        pivot = max(
-            (ei for ei in range(g.edge_count) if not g.is_loop(ei)),
-            key=rank.__getitem__,
-        )
+        pivot = next(ei for ei in reversed(g.edge_order) if not g.is_loop(ei))
         rest = [ei for ei in range(g.edge_count) if ei != pivot]
         if g.subgraph_counts(rest).components > 1:  # bridge
             return X * recurse(g.contract_edge(pivot))

@@ -68,31 +68,18 @@ def random_connected_ribbon_graph(rng: random.Random, edge_count: int) -> Ribbon
 def _face_corners(
     rotations: list[list[int]], pairs: list[tuple[int, int]]
 ) -> list[list[int]]:
-    """Corners grouped by face; the corner after half-edge j lies on the
-    face whose boundary walk contains the rotation successor of j."""
-    successor: dict[int, int] = {}
-    for rotation in rotations:
-        for pos, h in enumerate(rotation):
-            successor[h] = rotation[(pos + 1) % len(rotation)]
-    partner: dict[int, int] = {}
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
-    walk = {h: successor[partner[h]] for h in successor}  # boundary of the full graph
-    face_of: dict[int, int] = {}
-    face_count = 0
-    for start in successor:
-        if start in face_of:
-            continue
-        h = start
-        while h not in face_of:
-            face_of[h] = face_count
-            h = walk[h]
-        face_count += 1
-    corners: dict[int, list[int]] = {}
-    for j in sorted(successor):
-        corners.setdefault(face_of[successor[j]], []).append(j)
-    return [corners[f] for f in sorted(corners)]
+    """Corners grouped by face, the corner after half-edge j on the face of
+    ``sigma0(j)`` in the graph's one boundary walk.
+
+    Faces come in the order in which a scan of the rotations first meets
+    them, each with its corners in ascending order.
+    """
+    graph = build_ribbon_graph([r for r in rotations if r], pairs)
+    _, face_of = graph.face_orbit_ids(range(graph.edge_count))
+    corners: dict[int, list[int]] = {face_of[h]: [] for rotation in rotations for h in rotation}
+    for j in range(1, graph.half_edge_count + 1):
+        corners[face_of[graph.sigma0(j)]].append(j)
+    return list(corners.values())
 
 
 def _genus_of(rotations: list[list[int]], pairs: list[tuple[int, int]]) -> int:

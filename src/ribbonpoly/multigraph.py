@@ -6,7 +6,8 @@ dead subgraph joined by the internally live edges).  The module computes
 the two-variable Tutte polynomial by deletion/contraction (stored in the
 X and Y slots of :class:`~ribbonpoly.mpoly.MPoly`) and all spanning trees
 with Tutte's internal/external activities.  It also holds the package's
-one union-find, which the ribbon-graph and quasi-tree code share.
+one union-find, which the ribbon-graph and quasi-tree code share; the
+activities read cuts and tree paths from it as well.
 """
 
 from __future__ import annotations
@@ -163,74 +164,33 @@ class MultiGraph:
         return out
 
     def _internally_active(self, tree: Sequence[Edge], rank: dict[int, int]) -> frozenset[int]:
+        """Tree edges t such that every edge ordered below t has both ends
+        in one class of T - t, so t is the lowest edge of its cut."""
+        vertices = range(self.vertex_count)
         active = set()
-        for u0, v0, eid in tree:
-            rest = [e for e in tree if e[2] != eid]
-            side = self._reachable(u0, rest)
-            cut_ranks = [
-                rank[j]
-                for uu, vv, j in self.edges
-                if (uu in side) != (vv in side)
-            ]
-            if rank[eid] == min(cut_ranks):
-                active.add(eid)
+        for _, _, t in tree:
+            rest = ((u, v) for u, v, eid in tree if eid != t)
+            _, find = _union_find(self.vertex_count, rest, vertices)
+            if all(find(u) == find(v) for u, v, eid in self.edges if rank[eid] < rank[t]):
+                active.add(t)
         return frozenset(active)
 
     def _externally_active(
         self, tree: Sequence[Edge], tree_ids: frozenset[int], rank: dict[int, int]
     ) -> frozenset[int]:
-        adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.vertex_count)}
-        for u, v, eid in tree:
-            adjacency[u].append((v, eid))
-            adjacency[v].append((u, eid))
+        """Non-tree edges e whose endpoints the tree edges ordered above e
+        join, so no edge of e's tree path is ordered below e (a loop's path
+        is empty)."""
+        vertices = range(self.vertex_count)
         active = set()
-        for u, v, eid in self.edges:
-            if eid in tree_ids:
+        for u, v, e in self.edges:
+            if e in tree_ids:
                 continue
-            if u == v:
-                active.add(eid)  # the cycle is the loop alone
-                continue
-            cycle_ranks = [rank[j] for j in self._tree_path(adjacency, u, v)]
-            if rank[eid] < min(cycle_ranks):
-                active.add(eid)
+            above = ((a, b) for a, b, t in tree if rank[t] > rank[e])
+            _, find = _union_find(self.vertex_count, above, vertices)
+            if find(u) == find(v):
+                active.add(e)
         return frozenset(active)
-
-    def _reachable(self, start: int, edges: Sequence[Edge]) -> set[int]:
-        adjacency: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
-        for u, v, _ in edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-
-    @staticmethod
-    def _tree_path(adjacency: dict[int, list[tuple[int, int]]], u: int, v: int) -> list[int]:
-        """Edge ids on the unique tree path from u to v."""
-        previous: dict[int, tuple[int, int]] = {}
-        seen = {u}
-        frontier = [u]
-        while frontier:
-            node = frontier.pop()
-            if node == v:
-                break
-            for nxt, eid in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    previous[nxt] = (node, eid)
-                    frontier.append(nxt)
-        path = []
-        node = v
-        while node != u:
-            node, eid = previous[node]
-            path.append(eid)
-        return path
 
 
 def _tutte_recursive(vertex_count: int, edges: tuple[Edge, ...]) -> MPoly:

@@ -19,7 +19,10 @@ edges.  Other isolated vertices cannot be encoded by permutations.
 Faces of spanning subgraphs come from one boundary walk,
 :meth:`RibbonGraph._boundary_walk`, behind :meth:`RibbonGraph.face_count`,
 :meth:`RibbonGraph.boundary_components` and
-:meth:`RibbonGraph.face_orbit_ids`.
+:meth:`RibbonGraph.face_orbit_ids`.  Minors and components are spliced
+out of the successor arrays of ``sigma0`` and ``sigma1`` by one helper,
+:meth:`RibbonGraph._splice`; :func:`build_ribbon_graph` validates cycle
+data from outside only.
 
 All objects here are immutable after construction and every operation is
 a pure function, so shared graphs are safe to use concurrently.
@@ -86,6 +89,7 @@ class RibbonGraph:
         "_vertex_of",
         "_edge_of",
         "_succ0",
+        "_partner",
         "_succ2inv",
         "_component_count",
     )
@@ -121,10 +125,9 @@ class RibbonGraph:
         self._vertex_of = vertex_of
         self._edge_of = edge_of
         # successor tables indexed by half-edge label; slot 0 unused
-        self._succ0 = [0] + list(sigma0.images)
-        s1 = sigma1.images
-        s0 = sigma0.images
-        self._succ2inv = [0] + [s0[s1[i - 1] - 1] for i in range(1, n2 + 1)]
+        succ0 = self._succ0 = [0, *sigma0.images]
+        partner = self._partner = [0, *sigma1.images]
+        self._succ2inv = [0] + [succ0[partner[i]] for i in range(1, n2 + 1)]
         self._component_count = _union_find(len(self.vertices) or 1, self.edges, vertex_of)[0]
 
     # -- basic counts ------------------------------------------------
@@ -157,14 +160,8 @@ class RibbonGraph:
 
     def counts(self) -> GraphCounts:
         """The tuple ``(v, e, f, k, g, n)`` of standard invariants."""
-        if self.is_trivial:
-            return GraphCounts(1, 0, 1, 1, 0, 0)
-        v = len(self.vertices)
-        e = len(self.edges)
-        f = self._boundary_walk(range(e))[0]
-        k = self._component_count
-        g = _genus_from(k, v, e, f)
-        return GraphCounts(v, e, f, k, g, e - v + k)
+        k, e, f, n, g = self.subgraph_counts(range(len(self.edges)))
+        return GraphCounts(self.vertex_count, e, f, k, g, n)
 
     @property
     def genus(self) -> int:
@@ -280,54 +277,53 @@ class RibbonGraph:
 
     # -- derived graphs --------------------------------------------------
 
-    def _rebuild(self, cycles: list[list[int]], removed: set[int]) -> RibbonGraph:
-        """Relabel surviving half-edges to 1..2m and inherit the edge order."""
-        survivors = [h for h in range(1, self.half_edge_count + 1) if h not in removed]
-        relabel = {h: i for i, h in enumerate(survivors, start=1)}
-        new_cycles = [[relabel[h] for h in c] for c in cycles if c]
-        pairs = [(relabel[a], relabel[b]) for a, b in self.edges if a in relabel]
-        surviving_edges = [ei for ei, (a, b) in enumerate(self.edges) if a in relabel]
-        # relabelling is monotone, so surviving edges keep their relative ids
-        new_id = {old: new for new, old in enumerate(surviving_edges)}
-        new_order = [new_id[ei] for ei in self.edge_order if ei in new_id]
-        return build_ribbon_graph(new_cycles, pairs, edge_order=new_order)
+    def _splice(self, kept: list[int], succ: list[int]) -> RibbonGraph:
+        """The graph on the half-edges ``kept`` (ascending), each followed by
+        the next kept one along ``succ``.  Relabelling is in order, so the
+        surviving edges keep their relative ids and the edge order."""
+        label = [0] * (self.half_edge_count + 1)
+        for new, h in enumerate(kept, start=1):
+            label[h] = new
+        images = []
+        for h in kept:
+            nxt = succ[h]
+            while not label[nxt]:
+                nxt = succ[nxt]
+            images.append(label[nxt])
+        survivors = [ei for ei, (a, _) in enumerate(self.edges) if label[a]]
+        new_id = {old: new for new, old in enumerate(survivors)}
+        return RibbonGraph(
+            Perm(images),
+            Perm([label[self._partner[h]] for h in kept]),
+            edge_order=[new_id[ei] for ei in self.edge_order if ei in new_id],
+        )
 
     def delete_edge(self, edge_id: int) -> RibbonGraph:
-        """Remove an edge, splicing its half-edges out of the vertex rotations.
+        """Remove an edge, splicing its half-edges out of the ``sigma0`` array.
 
         Vertices left without half-edges disappear (they are not encodable);
         deleting the only loop of the one-vertex graph yields the trivial graph.
         """
         a, b = self.edges[edge_id]
-        removed = {a, b}
-        cycles = [[h for h in cycle if h not in removed] for cycle in self.vertices]
-        return self._rebuild(cycles, removed)
+        kept = [h for h in range(1, self.half_edge_count + 1) if h != a and h != b]
+        return self._splice(kept, self._succ0)
 
     def contract_edge(self, edge_id: int) -> RibbonGraph:
         """Merge the endpoints of a non-loop edge into one vertex.
 
-        The merged rotation reads the first vertex from ``sigma0(a)`` around
-        to ``sigma0^-1(a)``, then the second from ``sigma0(b)`` around to
-        ``sigma0^-1(b)``.  Preserves genus and component count; decrements
+        Swapping the ``sigma0`` successors of ``a`` and ``b``, then splicing
+        both out, gives the merged rotation: the first vertex from
+        ``sigma0(a)`` around to ``sigma0^-1(a)``, then the second from
+        ``sigma0(b)`` around to ``sigma0^-1(b)``.  Preserves genus and component count; decrements
         vertex and edge counts by one.
         """
         a, b = self.edges[edge_id]
-        va, vb = self._vertex_of[a], self._vertex_of[b]
-        if va == vb:
+        if self.is_loop(edge_id):
             raise LoopContraction(f"edge {edge_id} ({a},{b}) is a loop")
-
-        def opened(cycle: tuple[int, ...], at: int) -> list[int]:
-            pos = cycle.index(at)
-            return [cycle[(pos + j) % len(cycle)] for j in range(1, len(cycle))]
-
-        merged = opened(self.vertices[va], a) + opened(self.vertices[vb], b)
-        cycles = [
-            list(cycle)
-            for vi, cycle in enumerate(self.vertices)
-            if vi not in (va, vb)
-        ]
-        cycles.append(merged)
-        return self._rebuild(cycles, {a, b})
+        succ = self._succ0.copy()
+        succ[a], succ[b] = succ[b], succ[a]
+        kept = [h for h in range(1, self.half_edge_count + 1) if h != a and h != b]
+        return self._splice(kept, succ)
 
     def dual(self) -> RibbonGraph:
         """The dual ribbon graph: vertices and faces exchanged, same edges.
@@ -341,25 +337,19 @@ class RibbonGraph:
         return RibbonGraph(self.sigma2, self.sigma1, edge_order=self.edge_order)
 
     def connected_components(self) -> list[RibbonGraph]:
-        """Standalone relabeled components, each with the inherited edge order."""
+        """Standalone relabeled components, each with the inherited edge order.
+
+        Half-edges are grouped by the union-find class of their vertex, and
+        each group is spliced out on its own; components come in the order
+        of their smallest half-edge.
+        """
         if self.is_trivial or self.is_connected:
             return [self]
-        labels = sorted(
-            range(len(self.vertices)),
-            key=lambda vi: self.vertices[vi][0],
-        )
         _, find = _union_find(len(self.vertices), self.edges, self._vertex_of)
-        groups: dict[int, set[int]] = {}
-        for vi in labels:
-            groups.setdefault(find(vi), set()).add(vi)
-        out = []
-        for root in sorted(groups, key=lambda r: min(self.vertices[v][0] for v in groups[r])):
-            vis = groups[root]
-            keep = {h for vi in vis for h in self.vertices[vi]}
-            removed = set(range(1, self.half_edge_count + 1)) - keep
-            cycles = [list(self.vertices[vi]) for vi in sorted(vis)]
-            out.append(self._rebuild(cycles, removed))
-        return out
+        groups: dict[int, list[int]] = {}
+        for h in range(1, self.half_edge_count + 1):
+            groups.setdefault(find(self._vertex_of[h]), []).append(h)
+        return [self._splice(kept, self._succ0) for kept in groups.values()]
 
     def underlying_multigraph(self) -> MultiGraph:
         """The abstract multigraph: vertex indices joined by the edge pairs."""
