@@ -41,7 +41,7 @@ from .expansions import (
 )
 from .mpoly import genus_counting_series
 from .quasitrees import enumerate_quasi_trees, genus_histogram, quasi_tree_weight
-from .ribbon import RibbonGraph, graph_from_json, graph_to_json_dict
+from .ribbon import RibbonGraph, edge_order_from_numbers, graph_from_json, graph_to_json_dict
 
 
 @dataclass
@@ -126,7 +126,9 @@ def _load_graph(cfg: RunConfig) -> RibbonGraph:
         document = json.load(handle)
     graph = graph_from_json(document)
     if cfg.edge_order_override is not None:
-        graph = graph.with_edge_order([i - 1 for i in cfg.edge_order_override])
+        graph = graph.with_edge_order(
+            edge_order_from_numbers(cfg.edge_order_override, graph.edge_count)
+        )
     return graph
 
 

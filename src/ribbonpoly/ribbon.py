@@ -111,7 +111,9 @@ class RibbonGraph:
             order = tuple(range(len(self.edges)))
         else:
             order = tuple(edge_order)
-            if sorted(order) != list(range(len(self.edges))):
+            if any(type(i) is not int for i in order) or sorted(order) != list(
+                range(len(self.edges))
+            ):
                 raise ValueError(f"edge_order {order!r} is not a permutation of the edge indices")
         self.edge_order = order
 
@@ -493,8 +495,19 @@ def graph_from_json(data: str | dict) -> RibbonGraph:
     if order is not None:
         if not isinstance(order, list) or not all(type(i) is int for i in order):
             raise ValueError("edge_order must be a list of integers")
-        order = [i - 1 for i in order]
+        order = edge_order_from_numbers(order, len(sigma1))
     return build_ribbon_graph(sigma0, sigma1, edge_order=order)
+
+
+def edge_order_from_numbers(numbers: Sequence[int], edge_count: int) -> list[int]:
+    """Edge indices from 1-based edge numbers, lowest-ordered first.
+
+    Raises ValueError, naming the numbers as given, unless they are a
+    permutation of ``1..edge_count``.
+    """
+    if sorted(numbers) != list(range(1, edge_count + 1)):
+        raise ValueError(f"edge_order {list(numbers)} is not a permutation of 1..{edge_count}")
+    return [i - 1 for i in numbers]
 
 
 def graph_to_json_dict(graph: RibbonGraph) -> dict:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +176,31 @@ def test_bad_order_value(genus2_file, capsys):
     assert info.value.code == 1
     assert main(["compute", genus2_file, "--order", "1,2"]) == 1  # wrong length
     capsys.readouterr()
+
+
+TORUS_THETA = Path(__file__).resolve().parent.parent / "graphs" / "torus_theta.json"
+
+
+@pytest.mark.parametrize(
+    "order, document_order, written",
+    [
+        ("1,1,2", None, "[1, 1, 2]"),
+        ("0,1,2", None, "[0, 1, 2]"),
+        (None, [2, 3, 4], "[2, 3, 4]"),
+    ],
+)
+def test_bad_edge_order_names_the_numbers_as_written(
+    tmp_path, capsys, order, document_order, written
+):
+    path = TORUS_THETA
+    if document_order is not None:
+        document = json.loads(TORUS_THETA.read_text(encoding="utf-8"))
+        document["edge_order"] = document_order
+        path = tmp_path / "torus_theta.json"
+        path.write_text(json.dumps(document))
+    argv = ["count", str(path)] + (["--order", order] if order else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: cannot load graph: edge_order {written} is not a permutation of 1..3\n"
+    )

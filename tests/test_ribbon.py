@@ -340,6 +340,11 @@ def test_edge_order_override_validation(genus2_graph):
         genus2_graph.with_edge_order([0, 1])
     with pytest.raises(ValueError):
         genus2_graph.with_edge_order([0, 0, 1, 2, 3, 4])
+    # equal as numbers to a permutation, but not plain ints
+    with pytest.raises(ValueError):
+        genus2_graph.with_edge_order([0, 1.0, 2, 3, 4, 5])
+    with pytest.raises(ValueError):
+        genus2_graph.with_edge_order([True, 0, 2, 3, 4, 5])
     reordered = genus2_graph.with_edge_order([3, 1, 2, 0, 4, 5])
     assert reordered.edge_order == (3, 1, 2, 0, 4, 5)
 
