@@ -69,12 +69,6 @@ class MPoly:
     def sorted_terms(self) -> list[tuple[ExponentKey, int]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def coefficient(self, x: int = 0, y: int = 0, z: int = 0, t: int = 0) -> int:
-        return self._terms.get((x, y, z, t), 0)
-
-    def term_count(self) -> int:
-        return len(self._terms)
-
     def uses_variable(self, name: str) -> bool:
         idx = _VAR_INDEX[name]
         return any(key[idx] for key in self._terms)

@@ -73,9 +73,6 @@ class ChordDiagram:
         if len(self._position) != len(self.cycle):
             raise ValueError("boundary walk repeats a half-edge")
 
-    def position(self, half_edge: int) -> int:
-        return self._position[half_edge]
-
     def chord_span(self, edge_id: int) -> tuple[int, int]:
         a, b = self.chords[edge_id]
         p, q = self._position[a], self._position[b]

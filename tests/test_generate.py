@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 from ribbonpoly.generate import (
     all_one_vertex_graphs,
@@ -28,6 +29,28 @@ def test_one_vertex_family():
 def test_one_vertex_family_is_distinct():
     seen = {g.sigma1 for g in one_vertex_graphs(4)}
     assert len(seen) == 105
+
+
+def _harer_zagier(n_max):
+    """eps[n][g], the one-vertex maps with n edges and genus g, by the
+    Harer-Zagier recursion (Invent. Math. 85, 1986)."""
+    eps = [[0] * (n_max // 2 + 2) for _ in range(n_max + 1)]
+    eps[0][0] = 1
+    for n in range(1, n_max + 1):
+        for g in range(n // 2 + 1):
+            total = 2 * (2 * n - 1) * eps[n - 1][g]
+            if n >= 2 and g >= 1:
+                total += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps[n - 2][g - 1]
+            assert total % (n + 1) == 0
+            eps[n][g] = total // (n + 1)
+    return eps
+
+
+def test_one_vertex_genus_census_matches_harer_zagier():
+    eps = _harer_zagier(6)
+    for n in range(7):
+        histogram = Counter(g.genus for g in one_vertex_graphs(n))
+        assert histogram == {genus: count for genus, count in enumerate(eps[n]) if count}
 
 
 def test_random_connected_graphs_are_connected_and_deterministic():
