@@ -311,13 +311,13 @@ class RibbonGraph:
         return self._splice(kept, self._succ0)
 
     def contract_edge(self, edge_id: int) -> RibbonGraph:
-        """Merge the endpoints of a non-loop edge into one vertex.
+        """Merge the endpoints of a non-loop edge ``(a, b)`` into one vertex.
 
         Swapping the ``sigma0`` successors of ``a`` and ``b``, then splicing
         both out, gives the merged rotation: the first vertex from
         ``sigma0(a)`` around to ``sigma0^-1(a)``, then the second from
-        ``sigma0(b)`` around to ``sigma0^-1(b)``.  Preserves genus and component count; decrements
-        vertex and edge counts by one.
+        ``sigma0(b)`` around to ``sigma0^-1(b)``.  Preserves genus and
+        component count; decrements vertex and edge counts by one.
         """
         a, b = self.edges[edge_id]
         if self.is_loop(edge_id):
