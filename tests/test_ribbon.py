@@ -221,9 +221,6 @@ def test_contract_preserves_components_and_genus():
         checked += 1
 
 
-# -- duality ---------------------------------------------------------------------
-
-
 def _random_small_maps(seed, count):
     """Seeded maps with 1 to 5 vertices, each also under its reversed edge order.
 
@@ -265,6 +262,9 @@ def test_components_match_cycle_oracle():
         assert reversed_union.connected_components() == oracles.connected_components(
             reversed_union
         )
+
+
+# -- duality ---------------------------------------------------------------------
 
 
 def test_dual_counts(torus_theta, genus2_graph):
