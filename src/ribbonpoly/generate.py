@@ -77,8 +77,8 @@ def _face_corners(
     graph = build_ribbon_graph([r for r in rotations if r], pairs)
     _, face_of = graph.face_orbit_ids(range(graph.edge_count))
     corners: dict[int, list[int]] = {face_of[h]: [] for rotation in rotations for h in rotation}
-    for j in range(1, graph.half_edge_count + 1):
-        corners[face_of[graph.sigma0(j)]].append(j)
+    for j, after in enumerate(graph.sigma0.images, start=1):
+        corners[face_of[after]].append(j)
     return list(corners.values())
 
 

@@ -80,8 +80,6 @@ class RibbonGraph:
     """
 
     __slots__ = (
-        "sigma0",
-        "sigma1",
         "half_edge_count",
         "vertices",
         "edges",
@@ -100,37 +98,34 @@ class RibbonGraph:
             raise ValueError("sigma0 and sigma1 act on different label sets")
         if n2 and not sigma1.is_fixed_point_free_involution():
             raise NotInvolution("sigma1 must be a fixed-point-free involution")
-        self.sigma0 = sigma0
-        self.sigma1 = sigma1
-        self.half_edge_count = n2
-        self.vertices = tuple(sigma0.orbits())
-        self.edges = tuple(
-            (i, sigma1(i)) for i in range(1, n2 + 1) if i < sigma1(i)
-        )
-        if edge_order is None:
-            order = tuple(range(len(self.edges)))
-        else:
-            order = tuple(edge_order)
-            if any(type(i) is not int for i in order) or sorted(order) != list(
-                range(len(self.edges))
-            ):
-                raise ValueError(f"edge_order {order!r} is not a permutation of the edge indices")
-        self.edge_order = order
+        order = None if edge_order is None else _checked_edge_order(edge_order, n2 // 2)
+        self._derive([0, *sigma0.images], [0, *sigma1.images], order)
 
-        vertex_of = [0] * (n2 + 1)
-        for vi, cycle in enumerate(self.vertices):
-            for h in cycle:
-                vertex_of[h] = vi
-        edge_of = [0] * (n2 + 1)
+    def _derive(
+        self, succ0: list[int], partner: list[int], edge_order: tuple[int, ...] | None
+    ) -> RibbonGraph:
+        """Every construction ends here: store the ``sigma0`` and ``sigma1``
+        successor arrays (slot 0 unused), which are never mutated and may be
+        shared, and derive every other table.  Checks nothing; ``edge_order``
+        is a valid order or None for the default."""
+        n2 = len(succ0) - 1
+        self.half_edge_count = n2
+        self._succ0 = succ0
+        self._partner = partner
+        self.edges = tuple((i, partner[i]) for i in range(1, n2 + 1) if i < partner[i])
+        self.edge_order = tuple(range(len(self.edges))) if edge_order is None else edge_order
+        edge_of = self._edge_of = [0] * (n2 + 1)
         for ei, (a, b) in enumerate(self.edges):
             edge_of[a] = edge_of[b] = ei
-        self._vertex_of = vertex_of
-        self._edge_of = edge_of
-        # successor tables indexed by half-edge label; slot 0 unused
-        succ0 = self._succ0 = [0, *sigma0.images]
-        partner = self._partner = [0, *sigma1.images]
         self._succ2inv = [0] + [succ0[partner[i]] for i in range(1, n2 + 1)]
-        self._component_count = _union_find(len(self.vertices) or 1, self.edges, vertex_of)[0]
+        # with no edge present the boundary walk follows sigma0: its orbits
+        # are the vertices, in Perm.orbits() order
+        walk: list[int] = []
+        vertex_count, vertex_of = self._boundary_walk((), walk)
+        self.vertices = tuple(tuple(c) for _, c in groupby(walk, vertex_of.__getitem__))
+        self._vertex_of = vertex_of
+        self._component_count = _union_find(vertex_count or 1, self.edges, vertex_of)[0]
+        return self
 
     # -- basic counts ------------------------------------------------
 
@@ -156,9 +151,19 @@ class RibbonGraph:
         return self._component_count == 1
 
     @property
+    def sigma0(self) -> Perm:
+        """The vertex rotations, built on each access."""
+        return Perm(self._succ0[1:])
+
+    @property
+    def sigma1(self) -> Perm:
+        """The edge involution, built on each access."""
+        return Perm(self._partner[1:])
+
+    @property
     def sigma2(self) -> Perm:
         """The face permutation ``(sigma0 * sigma1)^-1``, built on each access."""
-        return (self.sigma0 * self.sigma1).inverse()
+        return Perm(self._succ2inv[1:]).inverse()
 
     def counts(self) -> GraphCounts:
         """The tuple ``(v, e, f, k, g, n)`` of standard invariants."""
@@ -275,7 +280,8 @@ class RibbonGraph:
         return frozenset(ei for ei, bit in zip(self.edge_order, bits) if bit == "1")
 
     def with_edge_order(self, order: Sequence[int]) -> RibbonGraph:
-        return RibbonGraph(self.sigma0, self.sigma1, edge_order=order)
+        order = _checked_edge_order(order, len(self.edges))
+        return object.__new__(RibbonGraph)._derive(self._succ0, self._partner, order)
 
     # -- derived graphs --------------------------------------------------
 
@@ -286,18 +292,18 @@ class RibbonGraph:
         label = [0] * (self.half_edge_count + 1)
         for new, h in enumerate(kept, start=1):
             label[h] = new
-        images = []
+        succ0 = [0]
         for h in kept:
             nxt = succ[h]
             while not label[nxt]:
                 nxt = succ[nxt]
-            images.append(label[nxt])
+            succ0.append(label[nxt])
         survivors = [ei for ei, (a, _) in enumerate(self.edges) if label[a]]
         new_id = {old: new for new, old in enumerate(survivors)}
-        return RibbonGraph(
-            Perm(images),
-            Perm([label[self._partner[h]] for h in kept]),
-            edge_order=[new_id[ei] for ei in self.edge_order if ei in new_id],
+        return object.__new__(RibbonGraph)._derive(
+            succ0,
+            [0, *(label[self._partner[h]] for h in kept)],
+            tuple(new_id[ei] for ei in self.edge_order if ei in new_id),
         )
 
     def delete_edge(self, edge_id: int) -> RibbonGraph:
@@ -368,13 +374,13 @@ class RibbonGraph:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RibbonGraph)
-            and self.sigma0 == other.sigma0
-            and self.sigma1 == other.sigma1
+            and self._succ0 == other._succ0
+            and self._partner == other._partner
             and self.edge_order == other.edge_order
         )
 
     def __hash__(self) -> int:
-        return hash((self.sigma0, self.sigma1, self.edge_order))
+        return hash((tuple(self._succ0), tuple(self._partner), self.edge_order))
 
     def __repr__(self) -> str:
         return (
@@ -404,6 +410,13 @@ class SpanningSubgraph:
     @property
     def is_quasi_tree(self) -> bool:
         return self.faces == 1 and self.components == 1
+
+
+def _checked_edge_order(order: Sequence[int], edge_count: int) -> tuple[int, ...]:
+    order = tuple(order)
+    if any(type(i) is not int for i in order) or sorted(order) != list(range(edge_count)):
+        raise ValueError(f"edge_order {order!r} is not a permutation of the edge indices")
+    return order
 
 
 def build_ribbon_graph(
@@ -459,12 +472,11 @@ def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
     if a.is_trivial or b.is_trivial:
         raise ValueError("the trivial isolated vertex cannot join a disjoint union")
     shift = a.half_edge_count
-    cycles = [list(c) for c in a.vertices] + [
-        [h + shift for h in c] for c in b.vertices
-    ]
-    pairs = [list(p) for p in a.edges] + [[x + shift, y + shift] for x, y in b.edges]
-    order = list(a.edge_order) + [ei + len(a.edges) for ei in b.edge_order]
-    return build_ribbon_graph(cycles, pairs, edge_order=order)
+    return object.__new__(RibbonGraph)._derive(
+        a._succ0 + [h + shift for h in b._succ0[1:]],
+        a._partner + [h + shift for h in b._partner[1:]],
+        a.edge_order + tuple(ei + len(a.edges) for ei in b.edge_order),
+    )
 
 
 def graph_from_json(data: str | dict) -> RibbonGraph:
