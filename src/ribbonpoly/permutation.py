@@ -16,6 +16,9 @@ class Perm:
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
+        for label in images:
+            if type(label) is not int:
+                raise ValueError(f"label {label!r} is not an integer")
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"images {images!r} are not a bijection on 1..{n}")
@@ -29,15 +32,16 @@ class Perm:
     def from_cycles(cls, cycles: Iterable[Iterable[int]], size: int) -> Perm:
         """Build a permutation from disjoint cycles; unmentioned labels are fixed.
 
-        Raises ValueError on labels outside ``1..size`` or repeated labels.
+        Raises ValueError on labels that are not plain ints in ``1..size``, or
+        repeated labels.
         """
         images = list(range(1, size + 1))
         seen: set[int] = set()
         for cycle in cycles:
             cycle = list(cycle)
             for label in cycle:
-                if not (1 <= label <= size):
-                    raise ValueError(f"label {label} outside 1..{size}")
+                if type(label) is not int or not 1 <= label <= size:
+                    raise ValueError(f"label {label!r} is not an integer in 1..{size}")
                 if label in seen:
                     raise ValueError(f"label {label} appears in two cycles")
                 seen.add(label)

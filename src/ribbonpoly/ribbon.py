@@ -426,9 +426,9 @@ def build_ribbon_graph(
 ) -> RibbonGraph:
     """Validate cycle/pair data and build a :class:`RibbonGraph`.
 
-    ``sigma0_cycles`` must partition ``{1, ..., 2n}`` exactly (vertices of
-    degree one appear as singleton cycles); ``sigma1_pairs`` must be a
-    perfect matching of the same labels.  The empty inputs build the
+    ``sigma0_cycles`` must partition ``{1, ..., 2n}`` into plain ints exactly
+    (vertices of degree one appear as singleton cycles); ``sigma1_pairs``
+    must be a perfect matching of the same labels.  The empty inputs build the
     trivial one-vertex graph.  Disconnectedness is allowed and exposed as
     :attr:`RibbonGraph.is_connected`, not an error, so that polynomial
     multiplicativity over disjoint unions can apply.
@@ -439,6 +439,8 @@ def build_ribbon_graph(
         if len(p) != 2 or p[0] == p[1]:
             raise NotInvolution(f"pair {p!r} does not join two distinct half-edges")
         for label in p:
+            if type(label) is not int:
+                raise NotInvolution(f"half-edge {label!r} is not an integer")
             if label in seen_pair_labels:
                 raise NotInvolution(f"half-edge {label} appears in two pairs")
             seen_pair_labels.add(label)
@@ -452,6 +454,8 @@ def build_ribbon_graph(
     seen_cycle_labels: set[int] = set()
     for cycle in cycles:
         for label in cycle:
+            if type(label) is not int:
+                raise NotPartition(f"half-edge {label!r} is not an integer")
             if label in seen_cycle_labels:
                 raise NotPartition(f"half-edge {label} appears in two vertex cycles")
             seen_cycle_labels.add(label)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +49,21 @@ def test_bad_images_rejected():
         Perm.from_cycles([[1, 2], [2, 3]], 3)
     with pytest.raises(ValueError):
         Perm.from_cycles([[0, 1]], 2)
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda: Perm([2.0, 1]), "2.0"),
+        (lambda: Perm([True, 2]), "True"),
+        (lambda: Perm.from_cycles([[1.0, 2]], 2), "1.0"),
+        (lambda: Perm.from_cycles([[True, 2]], 2), "True"),
+    ],
+    ids=["images-float", "images-bool", "cycles-float", "cycles-bool"],
+)
+def test_non_integer_labels_rejected(build, label):
+    with pytest.raises(ValueError, match=f"label {re.escape(label)} is not an integer"):
+        build()
 
 
 def test_identity_and_cycle_string():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,20 @@ def test_validation_errors():
         build_ribbon_graph([[1, 2], [2, 3]], [[1, 2], [3, 4]])
     with pytest.raises(NotPartition):
         build_ribbon_graph([[1, 2]], [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "cycles, pairs, error, label",
+    [
+        ([[1.0, 2]], [[1, 2]], NotPartition, "1.0"),
+        ([[True, 2]], [[1, 2]], NotPartition, "True"),
+        ([[1, 2]], [[1, 2.0]], NotInvolution, "2.0"),
+        ([[1, 2]], [["1", 2]], NotInvolution, "'1'"),
+    ],
+)
+def test_non_integer_labels_rejected(cycles, pairs, error, label):
+    with pytest.raises(error, match=f"half-edge {re.escape(label)} is not an integer"):
+        build_ribbon_graph(cycles, pairs)
 
 
 def test_disconnected_is_flag_not_error(one_loop, torus_theta):
