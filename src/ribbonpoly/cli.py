@@ -140,6 +140,13 @@ def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _table_lines(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
+    """The header and rows as left-aligned columns two spaces apart, right-trimmed."""
+    table = [header, *rows]
+    widths = [max(len(row[col]) for row in table) for col in range(len(header))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+
+
 def _run_verify(cfg: RunConfig, graph: RibbonGraph) -> int:
     report = verify_all(graph, cap=cfg.size_cap)
     payload = {"command": "verify", **report.to_json_dict()}
@@ -196,9 +203,8 @@ def _run_quasitrees(cfg: RunConfig, graph: RibbonGraph) -> int:
             }
         )
     payload = {"command": "quasitrees", "count": len(rows), "rows": rows}
-    lines = [f"{len(rows)} quasi-trees"]
     header = ("Q", "boundary", "activity", "g", "n(D)", "g(D)", "|E|", "weight", "factored")
-    table = [header] + [
+    table = [
         (
             r["quasi_tree"],
             "(" + ",".join(map(str, r["boundary"])) + ")",
@@ -212,10 +218,7 @@ def _run_quasitrees(cfg: RunConfig, graph: RibbonGraph) -> int:
         )
         for r in rows
     ]
-    widths = [max(len(row[col]) for row in table) for col in range(len(header))]
-    for row in table:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    _emit(cfg, payload, lines)
+    _emit(cfg, payload, [f"{len(rows)} quasi-trees", *_table_lines(header, table)])
     return 0
 
 
@@ -263,15 +266,9 @@ def _run_spanning_trees(cfg: RunConfig, graph: RibbonGraph) -> int:
         for row in rows_data
     ]
     payload = {"command": "spanning-trees", "count": len(rows), "rows": rows}
-    lines = [f"{len(rows)} spanning trees"]
     header = ("T", "activity", "inner weight", "X^i")
-    table = [header] + [
-        (r["tree"], r["activity"], r["inner_weight"], r["x_factor"]) for r in rows
-    ]
-    widths = [max(len(row[col]) for row in table) for col in range(len(header))]
-    for row in table:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    _emit(cfg, payload, lines)
+    table = [(r["tree"], r["activity"], r["inner_weight"], r["x_factor"]) for r in rows]
+    _emit(cfg, payload, [f"{len(rows)} spanning trees", *_table_lines(header, table)])
     return 0
 
 
