@@ -32,8 +32,7 @@ class Perm:
     def from_cycles(cls, cycles: Iterable[Iterable[int]], size: int) -> Perm:
         """Build a permutation from disjoint cycles; unmentioned labels are fixed.
 
-        Raises ValueError on labels that are not plain ints in ``1..size``, or
-        repeated labels.
+        Raises ValueError on labels that are not plain ints in ``1..size``, or repeated.
         """
         images = list(range(1, size + 1))
         seen: set[int] = set()

@@ -6,7 +6,7 @@ are the vertices (counterclockwise order of half-edges at each vertex),
 the orbits of the fixed-point-free involution ``sigma1`` are the edges,
 and the orbits of ``sigma2`` are the faces.  The triple satisfies
 ``sigma0(sigma1(sigma2(i))) == i`` for every half-edge ``i``, so
-``sigma2 = (sigma0 * sigma1)^-1`` is derived on access, never stored.
+``sigma2 = (sigma0 * sigma1)^-1``.
 
 This data is equivalent to a cellular embedding of a multigraph in a
 closed oriented surface; with ``v``, ``e``, ``f``, ``k`` the numbers of
@@ -16,13 +16,14 @@ vertices, edges, faces and connected components, the genus satisfies
 The empty triple (``2n == 0``) represents the single-vertex graph with no
 edges.  Other isolated vertices cannot be encoded by permutations.
 
-Faces of spanning subgraphs come from one boundary walk,
-:meth:`RibbonGraph._boundary_walk`, behind :meth:`RibbonGraph.face_count`,
-:meth:`RibbonGraph.boundary_components` and
-:meth:`RibbonGraph.face_orbit_ids`.  Minors and components are spliced
-out of the successor arrays of ``sigma0`` and ``sigma1`` by one helper,
-:meth:`RibbonGraph._splice`; :func:`build_ribbon_graph` validates cycle
-data from outside only.
+A :class:`RibbonGraph` stores only the successor arrays of ``sigma0`` and
+``sigma1``; :meth:`RibbonGraph._derive` builds every other table, the
+vertices and faces coming from one walk, :meth:`RibbonGraph._boundary_walk`,
+and the permutations are built on access.  Input is validated by
+:func:`build_ribbon_graph`, the ``RibbonGraph`` constructor and
+:meth:`RibbonGraph.with_edge_order` (the order only); minors and components
+(spliced by :meth:`RibbonGraph._splice`) and disjoint unions are valid by
+construction and are not checked again.
 
 All objects here are immutable after construction and every operation is
 a pure function, so shared graphs are safe to use concurrently.
@@ -77,6 +78,11 @@ class RibbonGraph:
     Every order-dependent computation (bitstrings, activities, the
     resolution tree) reads this order; :meth:`with_edge_order` gives the
     same graph under another one.
+
+    Only the ``sigma0`` and ``sigma1`` successor arrays and the order are
+    stored; :attr:`sigma0`, :attr:`sigma1` and :attr:`sigma2` build a
+    :class:`Perm` on each access.  The constructor validates its input;
+    graphs derived from a valid graph are not validated again.
     """
 
     __slots__ = (
@@ -101,25 +107,20 @@ class RibbonGraph:
         order = None if edge_order is None else _checked_edge_order(edge_order, n2 // 2)
         self._derive([0, *sigma0.images], [0, *sigma1.images], order)
 
-    def _derive(
-        self, succ0: list[int], partner: list[int], edge_order: tuple[int, ...] | None
-    ) -> RibbonGraph:
-        """Every construction ends here: store the ``sigma0`` and ``sigma1``
-        successor arrays (slot 0 unused), which are never mutated and may be
-        shared, and derive every other table.  Checks nothing; ``edge_order``
-        is a valid order or None for the default."""
+    def _derive(self, succ0: list[int], partner: list[int], order: tuple | None) -> RibbonGraph:
+        """Store the successor arrays (slot 0 unused; never mutated, so graphs
+        may share them) and derive every other table, checking nothing.  The
+        walk over no edges follows ``sigma0``: its orbits are the vertices."""
         n2 = len(succ0) - 1
         self.half_edge_count = n2
         self._succ0 = succ0
         self._partner = partner
         self.edges = tuple((i, partner[i]) for i in range(1, n2 + 1) if i < partner[i])
-        self.edge_order = tuple(range(len(self.edges))) if edge_order is None else edge_order
+        self.edge_order = tuple(range(len(self.edges))) if order is None else order
         edge_of = self._edge_of = [0] * (n2 + 1)
         for ei, (a, b) in enumerate(self.edges):
             edge_of[a] = edge_of[b] = ei
         self._succ2inv = [0] + [succ0[partner[i]] for i in range(1, n2 + 1)]
-        # with no edge present the boundary walk follows sigma0: its orbits
-        # are the vertices, in Perm.orbits() order
         walk: list[int] = []
         vertex_count, vertex_of = self._boundary_walk((), walk)
         self.vertices = tuple(tuple(c) for _, c in groupby(walk, vertex_of.__getitem__))
