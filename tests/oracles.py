@@ -14,7 +14,8 @@ independent route, so that tests can compare the two:
 * :func:`delete_edge`, :func:`contract_edge` and
   :func:`connected_components` build minors from vertex cycles through
   ``build_ribbon_graph``, an oracle for the array splicing of
-  :class:`~ribbonpoly.RibbonGraph`.
+  :class:`~ribbonpoly.RibbonGraph`; :func:`disjoint_union` does the same
+  for the array concatenation of :func:`~ribbonpoly.disjoint_union`.
 """
 
 from __future__ import annotations
@@ -216,3 +217,12 @@ def connected_components(graph: RibbonGraph) -> list[RibbonGraph]:
         removed = set(range(1, graph.half_edge_count + 1)) - keep
         out.append(_rebuild(graph, [list(graph.vertices[vi]) for vi in sorted(vis)], removed))
     return out
+
+
+def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
+    """The union rebuilt from both graphs' cycles, ``b``'s labels shifted above ``a``'s."""
+    shift = a.half_edge_count
+    cycles = [list(c) for c in a.vertices] + [[h + shift for h in c] for c in b.vertices]
+    pairs = [list(p) for p in a.edges] + [[x + shift, y + shift] for x, y in b.edges]
+    order = list(a.edge_order) + [ei + len(a.edges) for ei in b.edge_order]
+    return build_ribbon_graph(cycles, pairs, edge_order=order)

@@ -295,6 +295,12 @@ def test_components_match_cycle_oracle():
                 _assert_same_graph(part, rebuilt_part)
 
 
+def test_disjoint_union_matches_cycle_oracle():
+    maps = _random_small_maps(37, 20)
+    for a, b in itertools.product(maps[:10], maps[10:]):
+        _assert_same_graph(disjoint_union(a, b), oracles.disjoint_union(a, b))
+
+
 # -- duality ---------------------------------------------------------------------
 
 
