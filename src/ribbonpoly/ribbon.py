@@ -519,10 +519,11 @@ def graph_from_json(data: str | dict) -> RibbonGraph:
 def edge_order_from_numbers(numbers: Sequence[int], edge_count: int) -> list[int]:
     """Edge indices from 1-based edge numbers, lowest-ordered first.
 
-    Raises ValueError, naming the numbers as given, unless they are a
-    permutation of ``1..edge_count``.
+    Raises ValueError, naming the numbers as given, unless they are plain
+    ints and a permutation of ``1..edge_count``.
     """
-    if sorted(numbers) != list(range(1, edge_count + 1)):
+    expected = list(range(1, edge_count + 1))
+    if any(type(i) is not int for i in numbers) or sorted(numbers) != expected:
         raise ValueError(f"edge_order {list(numbers)} is not a permutation of 1..{edge_count}")
     return [i - 1 for i in numbers]
 

@@ -16,6 +16,7 @@ from ribbonpoly import (
     graph_to_json_dict,
 )
 from ribbonpoly.generate import random_connected_ribbon_graph, random_planar_ribbon_graph
+from ribbonpoly.ribbon import edge_order_from_numbers
 import oracles
 from oracles import restrict
 
@@ -384,6 +385,12 @@ def test_edge_order_override_validation(genus2_graph):
         genus2_graph.with_edge_order([True, 0, 2, 3, 4, 5])
     reordered = genus2_graph.with_edge_order([3, 1, 2, 0, 4, 5])
     assert reordered.edge_order == (3, 1, 2, 0, 4, 5)
+
+
+@pytest.mark.parametrize("numbers", [[True, 2], [1.0, 2], [1, 1]])
+def test_edge_numbers_must_be_plain_ints(numbers):
+    with pytest.raises(ValueError, match=re.escape(f"edge_order {numbers} is not a permutation")):
+        edge_order_from_numbers(numbers, 2)
 
 
 def test_json_roundtrip(genus2_graph):
