@@ -15,7 +15,11 @@ from ribbonpoly import (
     graph_from_json,
     graph_to_json_dict,
 )
-from ribbonpoly.generate import random_connected_ribbon_graph, random_planar_ribbon_graph
+from ribbonpoly.generate import (
+    one_vertex_graphs,
+    random_connected_ribbon_graph,
+    random_planar_ribbon_graph,
+)
 from ribbonpoly.ribbon import edge_order_from_numbers
 import oracles
 from oracles import restrict
@@ -89,6 +93,17 @@ def test_validation_errors():
 def test_non_integer_labels_rejected(cycles, pairs, error, label):
     with pytest.raises(error, match=f"half-edge {re.escape(label)} is not an integer"):
         build_ribbon_graph(cycles, pairs)
+
+
+def test_equality_reads_rotations_pairs_and_order():
+    # one rotation (1,2,3,4) under its three matchings
+    graphs = list(one_vertex_graphs(2))
+    assert len(set(graphs)) == 3
+    assert all(a != b for a, b in itertools.combinations(graphs, 2))
+    g = graphs[0]
+    assert g == build_ribbon_graph([[1, 2, 3, 4]], g.edges)
+    assert g != g.with_edge_order([1, 0])
+    assert g != build_ribbon_graph([[1, 2], [3, 4]], g.edges)
 
 
 def test_disconnected_is_flag_not_error(one_loop, torus_theta):
