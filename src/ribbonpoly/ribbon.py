@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Disconnected, LoopContraction, NotInvolution, NotPartition
@@ -435,13 +435,15 @@ def build_ribbon_graph(
     multiplicativity over disjoint unions can apply.
     """
     pairs = [tuple(p) for p in sigma1_pairs]
+    cycles = [list(c) for c in sigma0_cycles if list(c)]
+    for label in chain(*pairs, *cycles):
+        if type(label) is not int:
+            raise ValueError(f"half-edge label {label!r} is not an integer")
     seen_pair_labels: set[int] = set()
     for p in pairs:
         if len(p) != 2 or p[0] == p[1]:
             raise NotInvolution(f"pair {p!r} does not join two distinct half-edges")
         for label in p:
-            if type(label) is not int:
-                raise NotInvolution(f"half-edge {label!r} is not an integer")
             if label in seen_pair_labels:
                 raise NotInvolution(f"half-edge {label} appears in two pairs")
             seen_pair_labels.add(label)
@@ -451,12 +453,9 @@ def build_ribbon_graph(
             f"pairs must match exactly the labels 1..{n2}, got {sorted(seen_pair_labels)}"
         )
 
-    cycles = [list(c) for c in sigma0_cycles if list(c)]
     seen_cycle_labels: set[int] = set()
     for cycle in cycles:
         for label in cycle:
-            if type(label) is not int:
-                raise NotPartition(f"half-edge {label!r} is not an integer")
             if label in seen_cycle_labels:
                 raise NotPartition(f"half-edge {label} appears in two vertex cycles")
             seen_cycle_labels.add(label)
@@ -503,15 +502,12 @@ def graph_from_json(data: str | dict) -> RibbonGraph:
     except KeyError as exc:
         raise ValueError(f"graph document is missing field {exc}") from None
     for name, cycles in (("sigma0", sigma0), ("sigma1", sigma1)):
-        if not isinstance(cycles, list) or not all(
-            isinstance(cycle, list) and all(type(label) is int for label in cycle)
-            for cycle in cycles
-        ):
-            raise ValueError(f"{name} must be a list of lists of integers")
+        if not isinstance(cycles, list) or not all(isinstance(cycle, list) for cycle in cycles):
+            raise ValueError(f"{name} must be a list of lists")
     order = data.get("edge_order")
     if order is not None:
-        if not isinstance(order, list) or not all(type(i) is int for i in order):
-            raise ValueError("edge_order must be a list of integers")
+        if not isinstance(order, list):
+            raise ValueError("edge_order must be a list")
         order = edge_order_from_numbers(order, len(sigma1))
     return build_ribbon_graph(sigma0, sigma1, edge_order=order)
 

@@ -82,16 +82,17 @@ def test_validation_errors():
 
 
 @pytest.mark.parametrize(
-    "cycles, pairs, error, label",
+    "cycles, pairs, label",
     [
-        ([[1.0, 2]], [[1, 2]], NotPartition, "1.0"),
-        ([[True, 2]], [[1, 2]], NotPartition, "True"),
-        ([[1, 2]], [[1, 2.0]], NotInvolution, "2.0"),
-        ([[1, 2]], [["1", 2]], NotInvolution, "'1'"),
+        ([[1.0, 2]], [[1, 2]], "1.0"),
+        ([[True, 2]], [[1, 2]], "True"),
+        ([[1, 2]], [[1, 2.0]], "2.0"),
+        ([[1, 2]], [["1", 2]], "'1'"),
+        ([[1, 2]], [[1, [2]]], "[2]"),
     ],
 )
-def test_non_integer_labels_rejected(cycles, pairs, error, label):
-    with pytest.raises(error, match=f"half-edge {re.escape(label)} is not an integer"):
+def test_non_integer_labels_rejected(cycles, pairs, label):
+    with pytest.raises(ValueError, match=f"half-edge label {re.escape(label)} is not an integer"):
         build_ribbon_graph(cycles, pairs)
 
 
