@@ -123,7 +123,9 @@ class RibbonGraph:
         self._succ2inv = [0] + [succ0[partner[i]] for i in range(1, n2 + 1)]
         walk: list[int] = []
         vertex_count, vertex_of = self._boundary_walk((), walk)
-        self.vertices = tuple(tuple(c) for _, c in groupby(walk, vertex_of.__getitem__))
+        # tuples from lists: tuple() of an iterator is resized from ten slots,
+        # and the resized tuples fill the interpreter's per-size free lists
+        self.vertices = tuple([tuple(list(c)) for _, c in groupby(walk, vertex_of.__getitem__)])
         self._vertex_of = vertex_of
         self._component_count = _union_find(vertex_count or 1, self.edges, vertex_of)[0]
         return self
@@ -304,7 +306,7 @@ class RibbonGraph:
         return object.__new__(RibbonGraph)._derive(
             succ0,
             [0, *(label[self._partner[h]] for h in kept)],
-            tuple(new_id[ei] for ei in self.edge_order if ei in new_id),
+            tuple([new_id[ei] for ei in self.edge_order if ei in new_id]),  # see _derive
         )
 
     def delete_edge(self, edge_id: int) -> RibbonGraph:
