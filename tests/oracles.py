@@ -7,6 +7,11 @@ independent route, so that tests can compare the two:
   graph, an oracle for the boundary walk behind ``face_count``;
 * :func:`completions`, :func:`contains` and :func:`resolution_string`
   spell out the interval of a :class:`~ribbonpoly.PartialResolution`;
+* :func:`quasi_trees_by_brute_force` scans every spanning subgraph for one
+  face and one component, an oracle for the resolution-tree enumeration;
+* :func:`completion_by_gamma` completes a leaf by re-testing each
+  unresolved edge, an oracle for the edge values the enumeration fixes
+  when it skips a nugatory edge;
 * :func:`tutte_by_subgraph_sum` is the defining sum of the Tutte
   polynomial, an oracle for deletion/contraction;
 * :func:`interval_state_sum` is the state sum restricted to the interval
@@ -109,6 +114,50 @@ def resolution_string(resolution: PartialResolution, order: Sequence[int]) -> st
     """States in order position, with ``*`` for unresolved edges."""
     symbols = {0: "0", 1: "1", None: "*"}
     return "".join(symbols[resolution.states[eid]] for eid in order)
+
+
+# -- quasi-trees ------------------------------------------------------------------
+
+
+def quasi_trees_by_brute_force(graph: RibbonGraph) -> set[frozenset[int]]:
+    """Edge sets of the spanning subgraphs with one face and one component."""
+    found = set()
+    for size in range(graph.edge_count + 1):
+        for subset in combinations(range(graph.edge_count), size):
+            counts = graph.subgraph_counts(subset)
+            if counts.faces == 1 and counts.components == 1:
+                found.add(frozenset(subset))
+    return found
+
+
+def _gamma_connected(graph: RibbonGraph, included: Iterable[int], stars: Iterable[int]) -> bool:
+    """Whether the faces of ``included``, linked by the two faces each edge of
+    ``stars`` touches, form one connected graph (searched, not union-found)."""
+    face_of = {h: fi for fi, cycle in enumerate(graph.boundary_components(included)) for h in cycle}
+    neighbours: dict[int, set[int]] = {fi: set() for fi in face_of.values()}
+    for eid in stars:
+        a, b = (face_of[h] for h in graph.edges[eid])
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, frontier = {0}, [0]
+    while frontier:
+        for nxt in neighbours[frontier.pop()] - seen:
+            seen.add(nxt)
+            frontier.append(nxt)
+    return len(seen) == len(neighbours)
+
+
+def completion_by_gamma(graph: RibbonGraph, resolution: PartialResolution) -> frozenset[int]:
+    """The quasi-tree of a leaf by the completion rule: include an unresolved
+    edge iff setting it to 1, the other unresolved edges left free, keeps
+    the linked boundary connected."""
+    included = resolution.included()
+    free = resolution.unresolved()
+    return included | frozenset(
+        eid
+        for eid in free
+        if _gamma_connected(graph, included | {eid}, (e for e in free if e != eid))
+    )
 
 
 # -- subgraph sums ----------------------------------------------------------------

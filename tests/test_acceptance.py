@@ -44,20 +44,11 @@ from conftest import (
     GENUS2_SPANNING_TREE_TABLE,
     PRINTED_001010_CYCLE,
 )
+from oracles import quasi_trees_by_brute_force
 
 
 def _pass(number, message):
     print(f"criterion {number:02d} PASS: {message}")
-
-
-def _brute_force_quasi_trees(graph):
-    found = set()
-    for size in range(graph.edge_count + 1):
-        for subset in itertools.combinations(range(graph.edge_count), size):
-            counts = graph.subgraph_counts(subset)
-            if counts.faces == 1 and counts.components == 1:
-                found.add(frozenset(subset))
-    return found
 
 
 def _components(vertex_count, links):
@@ -168,7 +159,7 @@ def _check_split_identities(graph, quasi_tree):
 
 
 def _full_property_check(graph):
-    assert {q.edges for q in enumerate_quasi_trees(graph)} == _brute_force_quasi_trees(graph)
+    assert {q.edges for q in enumerate_quasi_trees(graph)} == quasi_trees_by_brute_force(graph)
     report = verify_all(graph)  # raises on any method disagreement
     assert report.tutte_specialization_ok
     for q in enumerate_quasi_trees(graph):

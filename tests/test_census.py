@@ -1,0 +1,74 @@
+"""A census of small graphs through every method and the resolution tree.
+
+Every one-vertex graph with at most five chords, and 200 seeded maps with
+two to four vertices under shuffled edge orders, must pass ``verify_all``;
+the leaves of the resolution tree must be exactly the one-face spanning
+subgraphs, and each leaf's quasi-tree must be the one the completion rule
+of :func:`oracles.completion_by_gamma` picks from its interval.
+
+Run as a script to take the census of a larger chord count, for example
+``PYTHONPATH=src:tests python tests/test_census.py 6`` for the 10,395
+six-chord one-vertex graphs.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+from ribbonpoly import build_ribbon_graph, enumerate_quasi_trees, verify_all
+from ribbonpoly.generate import all_one_vertex_graphs, one_vertex_graphs
+from oracles import completion_by_gamma, quasi_trees_by_brute_force
+
+
+def check(graph):
+    verify_all(graph)
+    leaves = enumerate_quasi_trees(graph)
+    assert {q.edges for q in leaves} == quasi_trees_by_brute_force(graph)
+    assert len(leaves) == len({q.edges for q in leaves})
+    for q in leaves:
+        assert q.edges == completion_by_gamma(graph, q.resolution), q.resolution
+
+
+def random_map(rng):
+    """A connected map with 2 to 4 vertices and a shuffled edge order."""
+    while True:
+        vertex_count = rng.randint(2, 4)
+        edge_count = rng.randint(vertex_count - 1, 7)
+        n2 = 2 * edge_count
+        labels = list(range(1, n2 + 1))
+        rng.shuffle(labels)
+        cuts = [0, *sorted(rng.sample(range(1, n2), vertex_count - 1)), n2]
+        cycles = [labels[a:b] for a, b in zip(cuts, cuts[1:])]
+        rng.shuffle(labels)
+        pairs = [labels[i : i + 2] for i in range(0, n2, 2)]
+        graph = build_ribbon_graph(cycles, pairs)
+        if graph.is_connected:
+            order = list(range(edge_count))
+            rng.shuffle(order)
+            return graph.with_edge_order(order)
+
+
+def test_one_vertex_census():
+    count = 0
+    for graph in all_one_vertex_graphs(5):
+        check(graph)
+        count += 1
+    assert count == 1070
+
+
+def test_map_census_under_shuffled_orders():
+    rng = random.Random(2718)
+    for _ in range(200):
+        graph = random_map(rng)
+        assert 2 <= graph.vertex_count <= 4
+        check(graph)
+
+
+if __name__ == "__main__":
+    chords = int(sys.argv[1])
+    count = 0
+    for graph in one_vertex_graphs(chords):
+        check(graph)
+        count += 1
+    print(f"{count} one-vertex graphs with {chords} chords pass the census")

@@ -23,19 +23,7 @@ from ribbonpoly import (
 )
 from ribbonpoly.generate import all_one_vertex_graphs, random_connected_ribbon_graph
 from conftest import GENUS2_POLY, GENUS2_QUASI_TREE_TABLE
-from oracles import completions, contains, resolution_string
-
-
-def brute_force_quasi_trees(graph):
-    """Independent oracle: spanning subgraphs with one face and one component."""
-    found = set()
-    ids = range(graph.edge_count)
-    for size in range(graph.edge_count + 1):
-        for subset in itertools.combinations(ids, size):
-            counts = graph.subgraph_counts(subset)
-            if counts.faces == 1 and counts.components == 1:
-                found.add(frozenset(subset))
-    return found
+from oracles import completions, contains, quasi_trees_by_brute_force, resolution_string
 
 
 # -- chord diagrams -----------------------------------------------------------
@@ -137,14 +125,14 @@ def test_enumeration_matches_brute_force_on_fixtures(
 ):
     for graph in (genus2_graph, torus_theta, planar_theta,
                   two_interleaved_loops, two_nested_loops):
-        assert {q.edges for q in enumerate_quasi_trees(graph)} == brute_force_quasi_trees(graph)
+        assert {q.edges for q in enumerate_quasi_trees(graph)} == quasi_trees_by_brute_force(graph)
 
 
 def test_enumeration_matches_brute_force_on_random_graphs():
     rng = random.Random(404)
     for _ in range(25):
         graph = random_connected_ribbon_graph(rng, rng.randint(1, 8))
-        assert {q.edges for q in enumerate_quasi_trees(graph)} == brute_force_quasi_trees(graph)
+        assert {q.edges for q in enumerate_quasi_trees(graph)} == quasi_trees_by_brute_force(graph)
 
 
 def test_leaf_unresolved_edges_are_the_live_edges():
