@@ -17,9 +17,10 @@ when one of its two resolutions can no longer complete to a one-face
 subgraph.  That test is a union-find: take the boundary components of the
 currently-included edges as nodes and link the two components touched by
 each unresolved edge; the resolution is viable iff this graph is
-connected.  Each leaf completes uniquely to a quasi-tree (include an
-unresolved edge iff including it keeps the linked boundary connected),
-and the leaf's unresolved edges are exactly the live edges.
+connected.  When an edge is skipped, the resolution that failed the test
+stays impossible below, so the edge takes the other value in the unique
+quasi-tree of every leaf under it; the leaf's unresolved edges are
+exactly that quasi-tree's live edges.
 
 Each quasi-tree contributes the weight
 
@@ -287,9 +288,12 @@ def enumerate_quasi_trees(graph: RibbonGraph) -> list[QuasiTree]:
     """All quasi-trees, one per leaf of the binary resolution tree.
 
     Edges are resolved from the highest in ``graph.edge_order`` down;
-    nugatory edges are skipped once and never revisited.  Leaves are
-    emitted left (0-branch) to right, deterministically.  Raises
-    :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
+    nugatory edges are skipped once and never revisited.  A skipped edge
+    whose 0-resolution is not viable is *forced*: every quasi-tree below
+    it includes it, because intervals only shrink as the search descends.
+    A leaf's quasi-tree is its included edges plus its forced edges.
+    Leaves are emitted left (0-branch) to right, deterministically.
+    Raises :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
     """
     if graph.is_trivial:
         return [_build_quasi_tree(graph, frozenset(), ())]
@@ -298,13 +302,12 @@ def enumerate_quasi_trees(graph: RibbonGraph) -> list[QuasiTree]:
     order = graph.edge_order
     edge_count = len(graph.edges)
     out: list[QuasiTree] = []
-    stack: list[tuple[tuple[int | None, ...], int]] = [
-        ((None,) * edge_count, edge_count - 1)
+    stack: list[tuple[tuple[int | None, ...], tuple[int, ...], int]] = [
+        ((None,) * edge_count, (), edge_count - 1)
     ]
     while stack:
-        frozen_states, pos = stack.pop()
+        frozen_states, forced, pos = stack.pop()
         states = list(frozen_states)
-        branched = False
         while pos >= 0:
             eid = order[pos]
             viable0 = _gamma_connected(graph, states, eid, 0)
@@ -314,21 +317,16 @@ def enumerate_quasi_trees(graph: RibbonGraph) -> list[QuasiTree]:
                 lower[eid] = 0
                 upper = states[:]
                 upper[eid] = 1
-                stack.append((tuple(upper), pos - 1))
-                stack.append((tuple(lower), pos - 1))
-                branched = True
+                stack.append((tuple(upper), forced, pos - 1))
+                stack.append((tuple(lower), forced, pos - 1))
                 break
-            pos -= 1  # nugatory: leave unresolved
-        if branched:
-            continue
-        # leaf: include each unresolved edge iff inclusion keeps the
-        # linked boundary connected; this is the unique quasi-tree in
-        # the leaf's interval
-        chosen = set(e for e, s in enumerate(states) if s == 1)
-        for eid, state in enumerate(states):
-            if state is None and _gamma_connected(graph, states, eid, 1):
-                chosen.add(eid)
-        out.append(_build_quasi_tree(graph, frozenset(chosen), states))
+            # nugatory: leave unresolved, and force it in if 0 is not viable
+            if not viable0:
+                forced += (eid,)
+            pos -= 1
+        else:
+            chosen = frozenset(e for e, s in enumerate(states) if s == 1).union(forced)
+            out.append(_build_quasi_tree(graph, chosen, states))
     return out
 
 
