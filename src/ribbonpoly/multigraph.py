@@ -124,11 +124,14 @@ class MultiGraph:
     def tutte_polynomial(self) -> MPoly:
         """Tutte polynomial via deletion/contraction, in the X/Y slots.
 
-        Recurses on the edge with the highest id that is neither a loop nor
-        a bridge; the terminal graphs contribute x^bridges * y^loops.  The
-        result does not depend on which edge is the pivot, so no edge order
-        is taken.  Disconnected graphs give the product over their
-        components (isolated vertices contribute the empty product 1).
+        A graph whose non-loop edges form a forest (their count is the
+        vertex count minus the component count) contributes
+        x^forest * y^loops.  Otherwise the recursion contracts the non-loop
+        edge with the highest id, times x if one union-find finds it is a
+        bridge, and adds its deletion if not.  The result does not depend
+        on which edge is the pivot, so no edge order is taken.
+        Disconnected graphs give the product over their components
+        (isolated vertices contribute the empty product 1).
         """
         return _tutte_recursive(self.vertex_count, self.edges)
 
@@ -194,34 +197,23 @@ class MultiGraph:
 
 
 def _tutte_recursive(vertex_count: int, edges: tuple[Edge, ...]) -> MPoly:
-    loops = 0
-    non_loop_edges = []
-    for e in edges:
-        if e[0] == e[1]:
-            loops += 1
-        else:
-            non_loop_edges.append(e)
+    non_loops = [e for e in edges if e[0] != e[1]]
+    loops = len(edges) - len(non_loops)
     vertices = range(vertex_count)
-    base_components = _union_find(vertex_count, ((u, v) for u, v, _ in edges), vertices)[0]
-    bridges = 0
-    candidates = []
-    for e in non_loop_edges:
-        remaining = [(u, v) for u, v, eid in edges if eid != e[2]]
-        if _union_find(vertex_count, remaining, vertices)[0] > base_components:
-            bridges += 1
-        else:
-            candidates.append(e)
-    if not candidates:
-        return X**bridges * Y**loops
-    pivot = max(candidates, key=lambda e: e[2])
+    components = _union_find(vertex_count, ((u, v) for u, v, _ in non_loops), vertices)[0]
+    if len(non_loops) == vertex_count - components:  # the non-loop edges form a forest
+        return X ** len(non_loops) * Y**loops
+    pivot = max(non_loops, key=lambda e: e[2])
     deleted = tuple(e for e in edges if e[2] != pivot[2])
     u0, v0 = pivot[0], pivot[1]
     merged = tuple(
         (u0 if u == v0 else u, u0 if v == v0 else v, eid) for u, v, eid in deleted
     )
-    return _tutte_recursive(vertex_count, deleted) + _tutte_recursive(
-        vertex_count - 1, _drop_vertex(merged, v0)
-    )
+    contracted = _tutte_recursive(vertex_count - 1, _drop_vertex(merged, v0))
+    rest = ((u, v) for u, v, _ in deleted if u != v)
+    if _union_find(vertex_count, rest, vertices)[0] > components:  # a bridge
+        return X * contracted
+    return _tutte_recursive(vertex_count, deleted) + contracted
 
 
 def _drop_vertex(edges: tuple[Edge, ...], gone: int) -> tuple[Edge, ...]:
