@@ -115,8 +115,8 @@ class MultiGraph:
             order = ids
         else:
             order = list(order)
-            if sorted(order) != ids:
-                raise ValueError("order must list each edge id exactly once")
+            if any(type(eid) is not int for eid in order) or sorted(order) != ids:
+                raise ValueError(f"order {order!r} is not a permutation of the edge ids")
         return {eid: pos for pos, eid in enumerate(order)}
 
     # -- Tutte polynomial ----------------------------------------------

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 from .errors import NotQuasiTree, SplitRoot
 from .mpoly import MPoly, ONE, Y, Z
 from .multigraph import MultiGraph, _union_find
-from .ribbon import RibbonGraph, SpanningSubgraph
+from .ribbon import RibbonGraph, SpanningSubgraph, _checked_edge_order
 
 
 class Activity(Enum):
@@ -112,11 +112,12 @@ def classify_activities(
     """Live/dead status of every edge, combined with internal/external membership.
 
     An edge is live iff its chord crosses no chord of strictly lower order.
-    Indexed by edge id, not by order position.
+    Indexed by edge id, not by order position.  Raises ValueError unless
+    ``order`` is a permutation of the edge ids.
     """
     internal_set = frozenset(internal)
     n = len(diagram.chords)
-    rank = {eid: pos for pos, eid in enumerate(order)}
+    rank = {eid: pos for pos, eid in enumerate(_checked_edge_order(order, n))}
     out: list[Activity] = []
     for eid in range(n):
         live = not any(
@@ -132,7 +133,11 @@ def classify_activities(
 
 
 def activity_string(activities: Sequence[Activity], order: Sequence[int]) -> str:
-    """Symbols in order position (lowest-ordered edge first)."""
+    """Symbols in order position (lowest-ordered edge first).
+
+    Raises ValueError unless ``order`` is a permutation of the edge ids.
+    """
+    order = _checked_edge_order(order, len(activities))
     return "".join(activities[eid].symbol for eid in order)
 
 

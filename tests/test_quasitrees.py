@@ -5,6 +5,7 @@ import pytest
 
 from ribbonpoly import (
     MPoly,
+    MultiGraph,
     NotQuasiTree,
     ONE,
     SplitRoot,
@@ -77,6 +78,36 @@ def test_activity_depends_on_edge_order(genus2_graph):
     swapped_order = [3, 1, 2, 0, 4, 5]  # first and fourth edges exchanged
     swapped = classify_activities(diagram, full, swapped_order)
     assert activity_string(swapped, swapped_order) == "LLLDDD"
+
+
+@pytest.mark.parametrize(
+    "call, order",
+    [
+        ("classify", [0]),
+        ("classify", [0, 0]),
+        ("classify", [0, 1, 2]),
+        ("classify", [0.0, 1]),
+        ("classify", [True, 0]),
+        ("string", [0]),
+        ("string", [0, 0]),
+        ("string", [0, 1, 2]),
+        ("string", [0.0, 1]),
+        ("string", [True, 0]),
+        ("spanning trees", [0.0, 1]),
+        ("spanning trees", [True, 0]),
+    ],
+)
+def test_activities_reject_an_order_that_is_not_an_int_permutation(
+    two_interleaved_loops, call, order
+):
+    diagram = chord_diagram(two_interleaved_loops, [])
+    with pytest.raises(ValueError, match="not a permutation"):
+        if call == "classify":
+            classify_activities(diagram, [], order)
+        elif call == "string":
+            activity_string(classify_activities(diagram, [], [0, 1]), order)
+        else:
+            MultiGraph(2, ((0, 1, 0), (0, 1, 1))).spanning_trees_with_activities(order)
 
 
 def test_lone_chord_is_live(one_loop):
