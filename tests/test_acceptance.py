@@ -211,11 +211,11 @@ def test_criterion_08_genus_zero_reduction():
 
 
 def test_criterion_09_duality(genus2_graph, torus_theta):
-    report = duality_check(genus2_graph, point_count=20)
+    report = duality_check(genus2_graph)
     assert report.genus_histogram == {0: 4, 1: 7, 2: 1}
     assert report.dual_genus_histogram == {0: 1, 1: 7, 2: 4}
     assert len(report.sample_points) == 20
-    report2 = duality_check(torus_theta, point_count=20)
+    report2 = duality_check(torus_theta)
     assert report2.dual_genus_histogram == {
         torus_theta.genus - g: c for g, c in report2.genus_histogram.items()
     }

@@ -194,7 +194,7 @@ def test_duality_random_graphs():
     rng = random.Random(3141)
     for _ in range(10):
         graph = random_connected_ribbon_graph(rng, rng.randint(1, 6))
-        report = duality_check(graph, point_count=8, seed=rng.randint(0, 99))
+        report = duality_check(graph, seed=rng.randint(0, 99))
         total = graph.genus
         assert report.dual_genus_histogram == {
             total - g: c for g, c in sorted(report.genus_histogram.items())
@@ -204,13 +204,6 @@ def test_duality_random_graphs():
 def test_duality_requires_connected(one_loop):
     with pytest.raises(Disconnected):
         duality_check(disjoint_union(one_loop, one_loop))
-
-
-def test_duality_point_count_must_fit_the_sample_pool(torus_theta):
-    # X and Y each take 37 values, 36 of them usable: 1296 distinct points
-    for point_count in (0, 1297):
-        with pytest.raises(ValueError):
-            duality_check(torus_theta, point_count=point_count)
 
 
 # -- specializations ------------------------------------------------------------
@@ -244,10 +237,10 @@ def test_tree_expansion_is_edge_order_independent(genus2_graph, torus_theta):
 
 
 def test_duality_points_are_deterministic(torus_theta):
-    first = duality_check(torus_theta, point_count=6, seed=9)
-    second = duality_check(torus_theta, point_count=6, seed=9)
+    first = duality_check(torus_theta, seed=9)
+    second = duality_check(torus_theta, seed=9)
     assert first.sample_points == second.sample_points
-    other = duality_check(torus_theta, point_count=6, seed=10)
+    other = duality_check(torus_theta, seed=10)
     assert other.sample_points != first.sample_points
 
 
