@@ -14,10 +14,12 @@ tree over per-edge states {0, 1, *}: starting from all-unresolved, edges
 are examined from the highest order downward.  Resolving an edge both
 ways splits the search; an edge is *nugatory* - left unresolved - exactly
 when one of its two resolutions can no longer complete to a one-face
-subgraph.  That test is a union-find: take the boundary components of the
-currently-included edges as nodes and link the two components touched by
-each unresolved edge; the resolution is viable iff this graph is
-connected.  When an edge is skipped, the resolution that failed the test
+subgraph.  That test, Γ, is a union-find: take the boundary components of
+the included edges as nodes and link the two components touched by each
+other unresolved edge; the resolution is viable iff this graph is
+connected.  Every node's interval holds a quasi-tree, so at most one
+resolution fails, and the 1-resolution is tested only when the
+0-resolution passes.  When an edge is skipped, the resolution that failed
 stays impossible below, so the edge takes the other value in the unique
 quasi-tree of every leaf under it; the leaf's unresolved edges are
 exactly that quasi-tree's live edges.
@@ -234,13 +236,9 @@ def _build_quasi_tree(
     edge_set: frozenset[int],
     states: Sequence[int | None],
 ) -> QuasiTree:
-    subgraph = graph.spanning_subgraph(edge_set)
-    if not subgraph.is_quasi_tree:
-        raise AssertionError(
-            f"leaf completion {sorted(edge_set)} is not a quasi-tree "
-            f"(f={subgraph.faces}, k={subgraph.components})"
-        )
+    # one face implies one component, since every component has a face
     diagram = chord_diagram(graph, edge_set)
+    subgraph = graph.spanning_subgraph(edge_set)
     activities = classify_activities(diagram, edge_set, graph.edge_order)
     resolution = PartialResolution(tuple(states))
     live = frozenset(e for e, a in enumerate(activities) if a.is_live)
@@ -266,25 +264,10 @@ def _build_quasi_tree(
 
 
 def _gamma_connected(
-    graph: RibbonGraph,
-    states: Sequence[int | None],
-    flip_edge: int | None = None,
-    flip_to: int | None = None,
+    graph: RibbonGraph, included: Sequence[int], stars: Sequence[tuple[int, int]]
 ) -> bool:
-    """Connectivity of the boundary components linked by unresolved edges.
-
-    ``flip_edge``/``flip_to`` test a candidate resolution without copying
-    the state vector.
-    """
-    included = []
-    stars = []
-    for eid, state in enumerate(states):
-        if eid == flip_edge:
-            state = flip_to
-        if state == 1:
-            included.append(eid)
-        elif state is None:
-            stars.append(graph.edges[eid])
+    """Whether the boundary components of ``included``, linked by the two
+    components each star pair touches, form one connected graph."""
     count, ids = graph.face_orbit_ids(included)
     return count == 1 or _union_find(count, stars, ids)[0] == 1
 
@@ -293,45 +276,46 @@ def enumerate_quasi_trees(graph: RibbonGraph) -> list[QuasiTree]:
     """All quasi-trees, one per leaf of the binary resolution tree.
 
     Edges are resolved from the highest in ``graph.edge_order`` down;
-    nugatory edges are skipped once and never revisited.  A skipped edge
-    whose 0-resolution is not viable is *forced*: every quasi-tree below
-    it includes it, because intervals only shrink as the search descends.
-    A leaf's quasi-tree is its included edges plus its forced edges.
-    Leaves are emitted left (0-branch) to right, deterministically.
-    Raises :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
+    nugatory edges are skipped once and never revisited.  Each node tests
+    its edge's 0-resolution and, only if that passes, its 1-resolution: the
+    node's interval holds a quasi-tree, so when the 0-resolution fails the
+    edge is *forced*, and every quasi-tree below it includes it, because
+    intervals only shrink as the search descends.  A leaf's quasi-tree is
+    its included edges plus its forced edges.  Leaves are emitted left
+    (0-branch) to right, deterministically.  Raises
+    :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
     """
-    if graph.is_trivial:
-        return [_build_quasi_tree(graph, frozenset(), ())]
     if not graph.is_connected:
         raise SplitRoot("quasi-tree enumeration requires a connected graph")
     order = graph.edge_order
-    edge_count = len(graph.edges)
+    edges = graph.edges
     out: list[QuasiTree] = []
     stack: list[tuple[tuple[int | None, ...], tuple[int, ...], int]] = [
-        ((None,) * edge_count, (), edge_count - 1)
+        ((None,) * len(edges), (), len(edges) - 1)
     ]
     while stack:
         frozen_states, forced, pos = stack.pop()
         states = list(frozen_states)
+        # skipping an edge leaves it unresolved, so the included edges stay
+        # the same until the node branches
+        included = [e for e, s in enumerate(states) if s == 1]
         while pos >= 0:
             eid = order[pos]
-            viable0 = _gamma_connected(graph, states, eid, 0)
-            viable1 = _gamma_connected(graph, states, eid, 1)
-            if viable0 and viable1:
-                lower = states[:]
-                lower[eid] = 0
-                upper = states[:]
-                upper[eid] = 1
-                stack.append((tuple(upper), forced, pos - 1))
-                stack.append((tuple(lower), forced, pos - 1))
-                break
-            # nugatory: leave unresolved, and force it in if 0 is not viable
-            if not viable0:
+            stars = [edges[e] for e, s in enumerate(states) if s is None and e != eid]
+            if not _gamma_connected(graph, included, stars):
+                # the interval holds a quasi-tree, so a failed 0-resolution
+                # forces the edge in and the 1-resolution needs no test
                 forced += (eid,)
+            elif _gamma_connected(graph, included + [eid], stars):
+                states[eid] = 1
+                stack.append((tuple(states), forced, pos - 1))
+                states[eid] = 0
+                stack.append((tuple(states), forced, pos - 1))
+                break
+            # nugatory: the edge stays unresolved
             pos -= 1
         else:
-            chosen = frozenset(e for e, s in enumerate(states) if s == 1).union(forced)
-            out.append(_build_quasi_tree(graph, chosen, states))
+            out.append(_build_quasi_tree(graph, frozenset(included).union(forced), states))
     return out
 
 

@@ -23,6 +23,7 @@ from ribbonpoly import (
     quasi_tree_weight,
 )
 from ribbonpoly.generate import all_one_vertex_graphs, random_connected_ribbon_graph
+from ribbonpoly.quasitrees import _build_quasi_tree
 from conftest import GENUS2_POLY, GENUS2_QUASI_TREE_TABLE
 from oracles import completions, contains, quasi_trees_by_brute_force, resolution_string
 
@@ -136,6 +137,13 @@ def test_trivial_graph_quasi_tree():
     trivial = build_ribbon_graph([], [])
     qts = enumerate_quasi_trees(trivial)
     assert len(qts) == 1 and qts[0].edges == frozenset()
+
+
+def test_leaf_with_two_faces_is_not_a_quasi_tree(planar_theta):
+    # two edges of the planar theta make a cycle: one component, two faces
+    assert planar_theta.subgraph_counts([0, 1])[:3] == (1, 2, 2)
+    with pytest.raises(NotQuasiTree):
+        _build_quasi_tree(planar_theta, frozenset({0, 1}), (1, 1, 0))
 
 
 def test_disconnected_root_raises(one_loop):
