@@ -9,7 +9,8 @@ Four independent methods produce the same element of Z[X, Y, Z]:
   externally active edges;
 * ``deletion_contraction``: delete/contract on the highest-ordered
   non-loop edge, with X for bridges and a direct subgraph sum once only
-  one vertex remains, multiplicative over disjoint unions;
+  one vertex remains, multiplicative over disjoint unions, run on an
+  explicit stack;
 * the quasi-tree expansion from :mod:`ribbonpoly.quasitrees`, with one
   summand per quasi-tree instead of one per subgraph.
 
@@ -33,7 +34,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import BijectionFailure, Disconnected, IdentityFailure, Mismatch, SizeLimit
-from .mpoly import MPoly, ONE, X, Y
+from .mpoly import MPoly, ONE, Y
 from .quasitrees import _weight_sum, enumerate_quasi_trees, genus_histogram
 from .ribbon import RibbonGraph
 
@@ -178,30 +179,37 @@ def spanning_tree_expansion(graph: RibbonGraph) -> BrtResult:
 
 
 def deletion_contraction(graph: RibbonGraph) -> BrtResult:
-    """Recursive evaluation, multiplicative over connected components.
+    """Deletion/contraction, multiplicative over connected components.
 
-    Recurses on the highest-ordered non-loop edge; a bridge contributes a
-    factor X and is contracted.  Once a component has a single vertex the
-    remaining loops are expanded by a direct subgraph sum.
+    Each component is reduced on an explicit stack of (minor, bridges
+    contracted so far), so the depth of Python's stack does not grow with
+    the graph.  A minor's pivot is its highest-ordered non-loop edge: a
+    bridge is contracted and adds one factor X; any other pivot is both
+    deleted and contracted.  A minor with a single vertex adds X^bridges
+    times the direct subgraph sum over its loops.
     """
     start = time.perf_counter()
     base_summands = 0
-
-    def recurse(g: RibbonGraph) -> MPoly:
-        nonlocal base_summands
-        if g.vertex_count == 1:
-            base_summands += 1 << g.edge_count
-            return _subgraph_sum(g, [], range(g.edge_count))
-        # connected with >= 2 vertices, so a non-loop edge exists
-        pivot = next(ei for ei in reversed(g.edge_order) if not g.is_loop(ei))
-        rest = [ei for ei in range(g.edge_count) if ei != pivot]
-        if g.subgraph_counts(rest).components > 1:  # bridge
-            return X * recurse(g.contract_edge(pivot))
-        return recurse(g.delete_edge(pivot)) + recurse(g.contract_edge(pivot))
-
     total = ONE
     for component in graph.connected_components():
-        total = total * recurse(component)
+        component_sum = MPoly.zero()
+        stack = [(component, 0)]
+        while stack:
+            g, bridges = stack.pop()
+            if g.vertex_count == 1:
+                base_summands += 1 << g.edge_count
+                loops = _subgraph_sum(g, [], range(g.edge_count))
+                component_sum = component_sum + MPoly.monomial(1, x=bridges) * loops
+                continue
+            # connected with >= 2 vertices, so a non-loop edge exists
+            pivot = next(ei for ei in reversed(g.edge_order) if not g.is_loop(ei))
+            rest = [ei for ei in range(g.edge_count) if ei != pivot]
+            if g.subgraph_counts(rest).components > 1:  # bridge
+                stack.append((g.contract_edge(pivot), bridges + 1))
+            else:
+                stack.append((g.contract_edge(pivot), bridges))
+                stack.append((g.delete_edge(pivot), bridges))
+        total = total * component_sum
     return BrtResult(total, Method.RECURSIVE, base_summands, time.perf_counter() - start)
 
 

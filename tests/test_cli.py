@@ -204,3 +204,17 @@ def test_bad_edge_order_names_the_numbers_as_written(
     assert err == (
         f"error: cannot load graph: edge_order {written} is not a permutation of 1..3\n"
     )
+
+
+def test_recursion_on_a_long_path_is_not_limited_by_python_stack(tmp_path, capsys):
+    # 1,000 bridges, one per deletion/contraction step: X^1000
+    edges = 1000
+    document = {
+        "sigma0": [[1], *([2 * i, 2 * i + 1] for i in range(1, edges)), [2 * edges]],
+        "sigma1": [[2 * i - 1, 2 * i] for i in range(1, edges + 1)],
+    }
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(document))
+    assert main(["compute", str(path), "--method", "recursive"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("X^1000\n", "")
