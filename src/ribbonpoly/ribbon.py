@@ -253,9 +253,7 @@ class RibbonGraph:
         """``(k, e, f, n, g)`` for the spanning subgraph with the given edges."""
         edges = list(edges)
         f = self.face_count(edges)
-        if self.is_trivial:
-            return SubgraphCounts(1, 0, 1, 0, 0)
-        v = len(self.vertices)
+        v = self.vertex_count
         k = _union_find(v, map(self.edges.__getitem__, edges), self._vertex_of)[0]
         e_h = len(edges)
         g = _genus_from(k, v, e_h, f)
@@ -354,7 +352,7 @@ class RibbonGraph:
         each group is spliced out on its own; components come in the order
         of their smallest half-edge.
         """
-        if self.is_trivial or self.is_connected:
+        if self.is_connected:
             return [self]
         _, find = _union_find(len(self.vertices), self.edges, self._vertex_of)
         groups: dict[int, list[int]] = {}
@@ -528,7 +526,7 @@ def edge_order_from_numbers(numbers: Sequence[int], edge_count: int) -> list[int
 
 def graph_to_json_dict(graph: RibbonGraph) -> dict:
     out: dict = {
-        "sigma0": [list(c) for c in graph.vertices] if not graph.is_trivial else [],
+        "sigma0": [list(c) for c in graph.vertices],
         "sigma1": [list(p) for p in graph.edges],
     }
     if graph.edge_order != tuple(range(len(graph.edges))):
