@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -42,19 +41,6 @@ from .expansions import (
 from .mpoly import genus_counting_series
 from .quasitrees import enumerate_quasi_trees, genus_histogram, quasi_tree_weight
 from .ribbon import RibbonGraph, edge_order_from_numbers, graph_from_json, graph_to_json_dict
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one instance per CLI run."""
-
-    command: str
-    input_path: str
-    method: str = "quasitree"
-    output_format: str = "text"
-    edge_order_override: list[int] | None = None
-    size_cap: int = DEFAULT_SUBGRAPH_CAP
-    seed: int = 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,41 +84,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_config(argv: Sequence[str] | None) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    override = None
-    if args.order:
+def _parse_config(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The parsed arguments, with a given ``--order`` as a list of 1-based edge numbers."""
+    cfg = _build_parser().parse_args(argv)
+    if cfg.order:
         try:
-            override = [int(part) for part in args.order.split(",")]
+            cfg.order = [int(part) for part in cfg.order.split(",")]
         except ValueError as exc:
             print(f"error: bad --order value: {exc}", file=sys.stderr)
             raise SystemExit(1)
-    if args.cap < 1:
+    if cfg.cap < 1:
         print("error: --cap must be at least 1", file=sys.stderr)
         raise SystemExit(1)
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        method=getattr(args, "method", "quasitree"),
-        output_format=args.output_format,
-        edge_order_override=override,
-        size_cap=args.cap,
-        seed=args.seed,
-    )
+    return cfg
 
 
-def _load_graph(cfg: RunConfig) -> RibbonGraph:
-    with open(cfg.input_path, "r", encoding="utf-8") as handle:
+def _load_graph(cfg: argparse.Namespace) -> RibbonGraph:
+    with open(cfg.input, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     graph = graph_from_json(document)
-    if cfg.edge_order_override is not None:
-        graph = graph.with_edge_order(
-            edge_order_from_numbers(cfg.edge_order_override, graph.edge_count)
-        )
+    if cfg.order:
+        graph = graph.with_edge_order(edge_order_from_numbers(cfg.order, graph.edge_count))
     return graph
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
+def _emit(cfg: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if cfg.output_format == "json":
         print(json.dumps(payload, indent=2, ensure_ascii=False))
     else:
@@ -147,8 +123,8 @@ def _table_lines(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[s
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
 
 
-def _run_verify(cfg: RunConfig, graph: RibbonGraph) -> int:
-    report = verify_all(graph, cap=cfg.size_cap)
+def _run_verify(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
+    report = verify_all(graph, cap=cfg.cap)
     payload = {"command": "verify", **report.to_json_dict()}
     lines = ["method      summands  ms        polynomial"]
     for method, result in report.results.items():
@@ -168,10 +144,10 @@ def _run_verify(cfg: RunConfig, graph: RibbonGraph) -> int:
     return 0
 
 
-def _run_compute(cfg: RunConfig, graph: RibbonGraph) -> int:
+def _run_compute(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
     if cfg.method == "all":
         return _run_verify(cfg, graph)
-    result = compute(graph, Method(cfg.method), cap=cfg.size_cap)
+    result = compute(graph, Method(cfg.method), cap=cfg.cap)
     payload = {
         "command": "compute",
         "method": cfg.method,
@@ -184,7 +160,7 @@ def _run_compute(cfg: RunConfig, graph: RibbonGraph) -> int:
     return 0
 
 
-def _run_quasitrees(cfg: RunConfig, graph: RibbonGraph) -> int:
+def _run_quasitrees(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
     quasi_trees = sorted(enumerate_quasi_trees(graph), key=lambda q: q.bitstring())
     rows = []
     for qt in quasi_trees:
@@ -222,7 +198,7 @@ def _run_quasitrees(cfg: RunConfig, graph: RibbonGraph) -> int:
     return 0
 
 
-def _run_count(cfg: RunConfig, graph: RibbonGraph) -> int:
+def _run_count(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
     series = genus_counting_series(compute(graph, Method.QUASI_TREE).polynomial)
     by_genus = {key[3]: coeff for key, coeff in series.sorted_terms()}
     total = sum(by_genus.values())
@@ -236,8 +212,8 @@ def _run_count(cfg: RunConfig, graph: RibbonGraph) -> int:
     return 0
 
 
-def _run_dual(cfg: RunConfig, graph: RibbonGraph) -> int:
-    report = duality_check(graph, seed=cfg.seed, cap=cfg.size_cap)
+def _run_dual(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
+    report = duality_check(graph, seed=cfg.seed, cap=cfg.cap)
     dual = graph.dual()
     payload = {"command": "dual", "dual": graph_to_json_dict(dual), **report.to_json_dict()}
     lines = [
@@ -252,7 +228,7 @@ def _run_dual(cfg: RunConfig, graph: RibbonGraph) -> int:
     return 0
 
 
-def _run_spanning_trees(cfg: RunConfig, graph: RibbonGraph) -> int:
+def _run_spanning_trees(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
     rows_data = sorted(
         spanning_tree_rows(graph), key=lambda r: graph.bitstring(r.edges)
     )
