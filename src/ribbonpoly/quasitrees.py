@@ -236,7 +236,8 @@ def _build_quasi_tree(
     edge_set: frozenset[int],
     states: Sequence[int | None],
 ) -> QuasiTree:
-    # one face implies one component, since every component has a face
+    # raises NotQuasiTree unless the leaf has one face, and so one
+    # component, since every component has a face
     diagram = chord_diagram(graph, edge_set)
     subgraph = graph.spanning_subgraph(edge_set)
     activities = classify_activities(diagram, edge_set, graph.edge_order)
