@@ -4,7 +4,9 @@ Every one-vertex graph with at most five chords, and 200 seeded maps with
 two to four vertices under shuffled edge orders, must pass ``verify_all``;
 the leaves of the resolution tree must be exactly the one-face spanning
 subgraphs, and each leaf's quasi-tree must be the one the completion rule
-of :func:`oracles.completion_by_gamma` picks from its interval.
+of :func:`oracles.completion_by_gamma` picks from its interval.  The genus
+histogram of the leaves must equal the genus-counting specialisation of
+the polynomial.
 
 Run as a script to take the census of a larger chord count, for example
 ``PYTHONPATH=src:tests python tests/test_census.py 6`` for the 10,395
@@ -16,14 +18,23 @@ from __future__ import annotations
 import random
 import sys
 
-from ribbonpoly import build_ribbon_graph, enumerate_quasi_trees, verify_all
+from ribbonpoly import (
+    MPoly,
+    build_ribbon_graph,
+    enumerate_quasi_trees,
+    genus_counting_series,
+    genus_histogram,
+    verify_all,
+)
 from ribbonpoly.generate import all_one_vertex_graphs, one_vertex_graphs
 from oracles import completion_by_gamma, quasi_trees_by_brute_force
 
 
 def check(graph):
-    verify_all(graph)
+    polynomial = verify_all(graph).polynomial
     leaves = enumerate_quasi_trees(graph)
+    by_genus = {(0, 0, 0, g): c for g, c in genus_histogram(leaves).items()}
+    assert genus_counting_series(polynomial) == MPoly(by_genus)
     assert {q.edges for q in leaves} == quasi_trees_by_brute_force(graph)
     assert len(leaves) == len({q.edges for q in leaves})
     for q in leaves:

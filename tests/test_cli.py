@@ -166,8 +166,11 @@ def test_exit_code_disconnected_input(tmp_path, capsys):
     doc = {"sigma0": [[1, 2], [3, 4]], "sigma1": [[1, 2], [3, 4]]}
     path = tmp_path / "two_loops.json"
     path.write_text(json.dumps(doc))
-    assert main(["quasitrees", str(path)]) == 1
-    capsys.readouterr()
+    for command in (["count"], ["quasitrees"], ["compute", "--method", "quasitree"]):
+        assert main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: quasi-tree enumeration requires a connected graph\n"
 
 
 def test_bad_order_value(genus2_file, capsys):
