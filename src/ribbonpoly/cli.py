@@ -38,7 +38,7 @@ from .expansions import (
     spanning_tree_rows,
     verify_all,
 )
-from .mpoly import genus_counting_series
+from .mpoly import MPoly
 from .quasitrees import enumerate_quasi_trees, genus_histogram, quasi_tree_weight
 from .ribbon import RibbonGraph, edge_order_from_numbers, graph_from_json, graph_to_json_dict
 
@@ -199,13 +199,13 @@ def _run_quasitrees(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
 
 
 def _run_count(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
-    series = genus_counting_series(compute(graph, Method.QUASI_TREE).polynomial)
-    by_genus = {key[3]: coeff for key, coeff in series.sorted_terms()}
+    by_genus = genus_histogram(enumerate_quasi_trees(graph))
+    series = MPoly({(0, 0, 0, g): c for g, c in by_genus.items()})
     total = sum(by_genus.values())
     payload = {
         "command": "count",
         "polynomial": series.to_string(ascending=True),
-        "by_genus": {str(g): c for g, c in sorted(by_genus.items())},
+        "by_genus": {str(g): c for g, c in by_genus.items()},
         "total": total,
     }
     _emit(cfg, payload, [series.to_string(ascending=True), f"total {total}"])
@@ -262,7 +262,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cfg = _parse_config(argv)
     try:
         graph = _load_graph(cfg)
-    except (OSError, json.JSONDecodeError, ValueError, RibbonPolyError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, RecursionError, RibbonPolyError) as exc:
         print(f"error: cannot load graph: {exc}", file=sys.stderr)
         return 1
     try:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .errors import BijectionFailure, Disconnected, IdentityFailure, Mismatch, SizeLimit
 from .mpoly import MPoly, ONE, Y
-from .quasitrees import _weight_sum, enumerate_quasi_trees, genus_histogram
+from .quasitrees import enumerate_quasi_trees, genus_histogram, quasi_tree_weight
 from .ribbon import RibbonGraph
 
 DEFAULT_SUBGRAPH_CAP = 24
@@ -214,10 +214,19 @@ def deletion_contraction(graph: RibbonGraph) -> BrtResult:
 
 
 def quasi_tree_sum(graph: RibbonGraph) -> BrtResult:
-    """The quasi-tree expansion wrapped with its summand count and timing."""
+    """The three-variable polynomial as the sum of one weight per quasi-tree.
+
+    The result does not depend on the edge order even though each weight
+    does.  For one-vertex graphs every contracted graph is a bouquet of
+    loops, so the Tutte factor degenerates to (1+YZ)^|internal live|.
+    ``term_count`` is the number of quasi-trees.  Raises
+    :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
+    """
     start = time.perf_counter()
     quasi_trees = enumerate_quasi_trees(graph)
-    total = _weight_sum(quasi_trees)
+    total = MPoly.zero()
+    for qt in quasi_trees:
+        total = total + quasi_tree_weight(qt).expanded
     return BrtResult(total, Method.QUASI_TREE, len(quasi_trees), time.perf_counter() - start)
 
 

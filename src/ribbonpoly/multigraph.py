@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import Disconnected
-from .mpoly import MPoly, X, Y
+from .mpoly import MPoly
 
 Edge = tuple[int, int, int]  # endpoint, endpoint, edge id
 
@@ -124,16 +124,45 @@ class MultiGraph:
     def tutte_polynomial(self) -> MPoly:
         """Tutte polynomial via deletion/contraction, in the X/Y slots.
 
-        A graph whose non-loop edges form a forest (their count is the
-        vertex count minus the component count) contributes
-        x^forest * y^loops.  Otherwise the recursion contracts the non-loop
-        edge with the highest id, times x if one union-find finds it is a
-        bridge, and adds its deletion if not.  The result does not depend
-        on which edge is the pivot, so no edge order is taken.
-        Disconnected graphs give the product over their components
-        (isolated vertices contribute the empty product 1).
+        Runs on an explicit stack of (vertex count, edges, bridges), so the
+        depth of Python's stack does not grow with the graph.  A node whose
+        non-loop edges form a forest (their count is the vertex count minus
+        the component count) contributes x^(bridges + forest) * y^loops.
+        Any other node contracts its non-loop edge with the highest id, with
+        one more bridge if one union-find finds it is a bridge, and adds its
+        deletion if not.  The result does not depend on which edge is the
+        pivot, so no edge order is taken.  Disconnected graphs give the
+        product over their components (isolated vertices contribute the
+        empty product 1).
         """
-        return _tutte_recursive(self.vertex_count, self.edges)
+        # forest leaves tallied by their (X, Y, Z, t) exponents
+        tally: dict[tuple[int, int, int, int], int] = {}
+        stack = [(self.vertex_count, self.edges, 0)]
+        while stack:
+            vertex_count, edges, bridges = stack.pop()
+            non_loops = [e for e in edges if e[0] != e[1]]
+            loops = len(edges) - len(non_loops)
+            vertices = range(vertex_count)
+            links = ((u, v) for u, v, _ in non_loops)
+            components = _union_find(vertex_count, links, vertices)[0]
+            if len(non_loops) == vertex_count - components:  # the non-loop edges form a forest
+                key = (bridges + len(non_loops), loops, 0, 0)
+                tally[key] = tally.get(key, 0) + 1
+                continue
+            pivot = max(non_loops, key=lambda e: e[2])
+            deleted = tuple(e for e in edges if e[2] != pivot[2])
+            u0, v0 = pivot[0], pivot[1]
+            merged = tuple(
+                (u0 if u == v0 else u, u0 if v == v0 else v, eid) for u, v, eid in deleted
+            )
+            contracted = _drop_vertex(merged, v0)
+            rest = ((u, v) for u, v, _ in deleted if u != v)
+            if _union_find(vertex_count, rest, vertices)[0] > components:  # a bridge
+                stack.append((vertex_count - 1, contracted, bridges + 1))
+            else:
+                stack.append((vertex_count - 1, contracted, bridges))
+                stack.append((vertex_count, deleted, bridges))
+        return MPoly(tally)
 
     # -- spanning trees and activities ------------------------------------
 
@@ -194,26 +223,6 @@ class MultiGraph:
             if find(u) == find(v):
                 active.add(e)
         return frozenset(active)
-
-
-def _tutte_recursive(vertex_count: int, edges: tuple[Edge, ...]) -> MPoly:
-    non_loops = [e for e in edges if e[0] != e[1]]
-    loops = len(edges) - len(non_loops)
-    vertices = range(vertex_count)
-    components = _union_find(vertex_count, ((u, v) for u, v, _ in non_loops), vertices)[0]
-    if len(non_loops) == vertex_count - components:  # the non-loop edges form a forest
-        return X ** len(non_loops) * Y**loops
-    pivot = max(non_loops, key=lambda e: e[2])
-    deleted = tuple(e for e in edges if e[2] != pivot[2])
-    u0, v0 = pivot[0], pivot[1]
-    merged = tuple(
-        (u0 if u == v0 else u, u0 if v == v0 else v, eid) for u, v, eid in deleted
-    )
-    contracted = _tutte_recursive(vertex_count - 1, _drop_vertex(merged, v0))
-    rest = ((u, v) for u, v, _ in deleted if u != v)
-    if _union_find(vertex_count, rest, vertices)[0] > components:  # a bridge
-        return X * contracted
-    return _tutte_recursive(vertex_count, deleted) + contracted
 
 
 def _drop_vertex(edges: tuple[Edge, ...], gone: int) -> tuple[Edge, ...]:

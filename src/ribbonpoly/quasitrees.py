@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 from .errors import NotQuasiTree, SplitRoot
 from .mpoly import MPoly, ONE, Y, Z
 from .multigraph import MultiGraph, _union_find
-from .ribbon import RibbonGraph, SpanningSubgraph, _checked_edge_order
+from .ribbon import RibbonGraph, SpanningSubgraph, _checked_edge_order, _genus_from
 
 
 class Activity(Enum):
@@ -165,70 +165,68 @@ class PartialResolution:
 
 @dataclass(frozen=True)
 class QuasiTree:
-    """A quasi-tree with its diagram, activities and derived structures."""
+    """A leaf of the resolution tree: a quasi-tree with its diagram and activities.
 
-    subgraph: SpanningSubgraph
+    The leaf has one face and so one component, which gives its genus by
+    Euler's formula.  The dead subgraph and the contracted graph, which
+    only the weight needs, are built on each access.
+    """
+
+    parent: RibbonGraph = field(repr=False)
+    edges: frozenset[int]
+    genus: int
     diagram: ChordDiagram = field(repr=False)
     activities: tuple[Activity, ...]
     resolution: PartialResolution
-    dead_subgraph: SpanningSubgraph = field(repr=False)
-    contracted_graph: MultiGraph = field(repr=False)
 
-    @property
-    def parent(self) -> RibbonGraph:
-        return self.subgraph.parent
-
-    @property
-    def edges(self) -> frozenset[int]:
-        return self.subgraph.edges
-
-    @property
-    def genus(self) -> int:
-        return self.subgraph.genus
+    def _edges_with(self, activity: Activity) -> frozenset[int]:
+        return frozenset(e for e, a in enumerate(self.activities) if a is activity)
 
     @property
     def live_internal(self) -> frozenset[int]:
-        return frozenset(
-            e for e, a in enumerate(self.activities) if a is Activity.INTERNALLY_LIVE
-        )
+        return self._edges_with(Activity.INTERNALLY_LIVE)
 
     @property
     def live_external(self) -> frozenset[int]:
-        return frozenset(
-            e for e, a in enumerate(self.activities) if a is Activity.EXTERNALLY_LIVE
+        return self._edges_with(Activity.EXTERNALLY_LIVE)
+
+    @property
+    def dead_subgraph(self) -> SpanningSubgraph:
+        """The spanning subgraph of the internally dead edges, built on each access."""
+        return self.parent.spanning_subgraph(self._edges_with(Activity.INTERNALLY_DEAD))
+
+    @property
+    def contracted_graph(self) -> MultiGraph:
+        """Vertices are the components of the dead subgraph; edges the live
+        internal ones.  Built on each access."""
+        graph = self.parent
+        v = graph.vertex_count
+        dead = self._edges_with(Activity.INTERNALLY_DEAD)
+        links = (
+            (graph.vertex_of(a), graph.vertex_of(b))
+            for a, b in map(graph.edges.__getitem__, dead)
         )
+        _, find = _union_find(v, links, range(v))
+        component_index: dict[int, int] = {}
+        for vi in range(v):
+            root = find(vi)
+            if root not in component_index:
+                component_index[root] = len(component_index)
+        edges = tuple(
+            (
+                component_index[find(graph.vertex_of(graph.edges[eid][0]))],
+                component_index[find(graph.vertex_of(graph.edges[eid][1]))],
+                eid,
+            )
+            for eid in sorted(self.live_internal)
+        )
+        return MultiGraph(len(component_index), edges)
 
     def bitstring(self) -> str:
-        return self.subgraph.bitstring()
+        return self.parent.bitstring(self.edges)
 
     def activity_string(self) -> str:
         return activity_string(self.activities, self.parent.edge_order)
-
-
-def _contracted_graph(
-    graph: RibbonGraph, dead_edges: frozenset[int], live_internal: Iterable[int]
-) -> MultiGraph:
-    """Vertices are the components of the dead subgraph; edges the live internal ones."""
-    v = graph.vertex_count
-    links = (
-        (graph.vertex_of(a), graph.vertex_of(b))
-        for a, b in map(graph.edges.__getitem__, dead_edges)
-    )
-    _, find = _union_find(v, links, range(v))
-    component_index: dict[int, int] = {}
-    for vi in range(v):
-        root = find(vi)
-        if root not in component_index:
-            component_index[root] = len(component_index)
-    edges = tuple(
-        (
-            component_index[find(graph.vertex_of(graph.edges[eid][0]))],
-            component_index[find(graph.vertex_of(graph.edges[eid][1]))],
-            eid,
-        )
-        for eid in sorted(live_internal)
-    )
-    return MultiGraph(len(component_index), edges)
 
 
 def _build_quasi_tree(
@@ -239,7 +237,6 @@ def _build_quasi_tree(
     # raises NotQuasiTree unless the leaf has one face, and so one
     # component, since every component has a face
     diagram = chord_diagram(graph, edge_set)
-    subgraph = graph.spanning_subgraph(edge_set)
     activities = classify_activities(diagram, edge_set, graph.edge_order)
     resolution = PartialResolution(tuple(states))
     live = frozenset(e for e, a in enumerate(activities) if a.is_live)
@@ -247,21 +244,8 @@ def _build_quasi_tree(
         raise AssertionError(
             f"leaf {resolution.states} disagrees with live edges {sorted(live)}"
         )
-    dead_edges = frozenset(
-        e for e, a in enumerate(activities) if a is Activity.INTERNALLY_DEAD
-    )
-    dead_subgraph = graph.spanning_subgraph(dead_edges)
-    live_internal = frozenset(
-        e for e, a in enumerate(activities) if a is Activity.INTERNALLY_LIVE
-    )
-    return QuasiTree(
-        subgraph=subgraph,
-        diagram=diagram,
-        activities=activities,
-        resolution=resolution,
-        dead_subgraph=dead_subgraph,
-        contracted_graph=_contracted_graph(graph, dead_edges, live_internal),
-    )
+    genus = _genus_from(1, graph.vertex_count, len(edge_set), 1)
+    return QuasiTree(graph, edge_set, genus, diagram, activities, resolution)
 
 
 def _gamma_connected(
@@ -356,35 +340,17 @@ class QuasiTreeWeight:
 
 def quasi_tree_weight(qt: QuasiTree) -> QuasiTreeWeight:
     dead = qt.dead_subgraph
+    external_live_count = len(qt.live_external)
     tutte = qt.contracted_graph.tutte_polynomial().substitute(y=ONE + Y * Z)
     expanded = (
         MPoly.monomial(1, y=dead.nullity, z=dead.genus)
-        * (ONE + Y) ** len(qt.live_external)
+        * (ONE + Y) ** external_live_count
         * tutte
     )
     return QuasiTreeWeight(
         nullity_dead=dead.nullity,
         genus_dead=dead.genus,
-        external_live_count=len(qt.live_external),
+        external_live_count=external_live_count,
         tutte_factor=tutte,
         expanded=expanded,
     )
-
-
-def _weight_sum(quasi_trees: Iterable[QuasiTree]) -> MPoly:
-    """The sum of the expanded weights of the given quasi-trees."""
-    total = MPoly.zero()
-    for qt in quasi_trees:
-        total = total + quasi_tree_weight(qt).expanded
-    return total
-
-
-def quasi_tree_expansion(graph: RibbonGraph) -> MPoly:
-    """The three-variable polynomial as a sum of quasi-tree weights.
-
-    One summand per quasi-tree; the result does not depend on the edge
-    order even though each individual weight does.  For one-vertex graphs
-    every contracted graph is a bouquet of loops, so the Tutte factor
-    degenerates to (1+YZ)^|internal live|.
-    """
-    return _weight_sum(enumerate_quasi_trees(graph))

@@ -402,12 +402,6 @@ class SpanningSubgraph:
     nullity: int
     genus: int
 
-    def bitstring(self) -> str:
-        return self.parent.bitstring(self.edges)
-
-    def boundary_components(self) -> list[tuple[int, ...]]:
-        return self.parent.boundary_components(self.edges)
-
     @property
     def is_quasi_tree(self) -> bool:
         return self.faces == 1 and self.components == 1

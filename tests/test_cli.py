@@ -173,6 +173,16 @@ def test_exit_code_disconnected_input(tmp_path, capsys):
         assert captured.err == "error: quasi-tree enumeration requires a connected graph\n"
 
 
+def test_deeply_nested_json_is_a_one_line_error(tmp_path, capsys):
+    depth = 100_000
+    path = tmp_path / "nested.json"
+    path.write_text("[" * depth + "]" * depth)
+    assert main(["count", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot load graph: ")
+
+
 def test_bad_order_value(genus2_file, capsys):
     with pytest.raises(SystemExit) as info:
         main(["compute", genus2_file, "--order", "a,b"])

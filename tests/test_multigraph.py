@@ -30,6 +30,15 @@ def test_triangle():
     assert g.tutte_polynomial() == X**2 + X + Y
 
 
+def test_long_cycle_runs_on_an_explicit_stack():
+    # 1,200 contractions in a row: far deeper than Python's default
+    # recursion limit
+    n = 1200
+    cycle = MultiGraph(n, tuple((i, (i + 1) % n, i) for i in range(n)))
+    expected = Y + sum((X**k for k in range(1, n)), MPoly.zero())
+    assert cycle.tutte_polynomial() == expected
+
+
 def test_disconnected_is_product():
     g = MultiGraph(4, ((0, 1, 0), (2, 3, 1), (2, 3, 2)))
     assert g.tutte_polynomial() == X * (X + Y)
