@@ -31,8 +31,9 @@ Each quasi-tree contributes the weight
 where D is the spanning subgraph of internally dead edges and T is the
 Tutte polynomial of the contracted graph whose vertices are the
 components of D and whose edges are the internally live edges.  Summed
-over all quasi-trees this equals the three-variable polynomial computed
-by the state sum over all spanning subgraphs, with far fewer summands.
+over all quasi-trees (:func:`ribbonpoly.expansions.quasi_tree_sum`) this
+equals the three-variable polynomial computed by the state sum over all
+spanning subgraphs, with far fewer summands.
 """
 
 from __future__ import annotations
