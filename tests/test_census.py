@@ -4,13 +4,15 @@ Every one-vertex graph with at most five chords, and 200 seeded maps with
 two to four vertices under shuffled edge orders, must pass ``verify_all``;
 the leaves of the resolution tree must be exactly the one-face spanning
 subgraphs, and each leaf's quasi-tree must be the one the completion rule
-of :func:`oracles.completion_by_gamma` picks from its interval.  The genus
-histogram of the leaves must equal the genus-counting specialisation of
-the polynomial.
+of :func:`oracles.completion_by_gamma` picks from its interval.  Each
+leaf's activities must be the chord-crossing classification of
+:func:`ribbonpoly.classify_activities`.  The genus histogram of the leaves
+must equal the genus-counting specialisation of the polynomial.
 
 Run as a script to take the census of a larger chord count, for example
 ``PYTHONPATH=src:tests python tests/test_census.py 6`` for the 10,395
-six-chord one-vertex graphs.
+six-chord one-vertex graphs, each under its default and its reversed edge
+order.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 from ribbonpoly import (
     MPoly,
     build_ribbon_graph,
+    classify_activities,
     enumerate_quasi_trees,
     genus_counting_series,
     genus_histogram,
@@ -39,6 +42,8 @@ def check(graph):
     assert len(leaves) == len({q.edges for q in leaves})
     for q in leaves:
         assert q.edges == completion_by_gamma(graph, q.resolution), q.resolution
+        expected = classify_activities(q.diagram, q.edges, graph.edge_order)
+        assert q.activities == expected, q.resolution
 
 
 def random_map(rng):
@@ -81,5 +86,9 @@ if __name__ == "__main__":
     count = 0
     for graph in one_vertex_graphs(chords):
         check(graph)
+        check(graph.with_edge_order(graph.edge_order[::-1]))
         count += 1
-    print(f"{count} one-vertex graphs with {chords} chords pass the census")
+    print(
+        f"{count} one-vertex graphs with {chords} chords pass the census"
+        " under their default and reversed edge orders"
+    )

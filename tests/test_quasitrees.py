@@ -179,7 +179,9 @@ def test_leaf_unresolved_edges_are_the_live_edges():
     for _ in range(15):
         graph = random_connected_ribbon_graph(rng, rng.randint(1, 7))
         for q in enumerate_quasi_trees(graph):
-            live = {e for e, a in enumerate(q.activities) if a.is_live}
+            activities = classify_activities(q.diagram, q.edges, graph.edge_order)
+            assert q.activities == activities
+            live = {e for e, a in enumerate(activities) if a.is_live}
             assert live == set(q.resolution.unresolved())
 
 
