@@ -87,9 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_config(argv: Sequence[str] | None) -> argparse.Namespace:
     """The parsed arguments, with a given ``--order`` as a list of 1-based edge numbers."""
     cfg = _build_parser().parse_args(argv)
-    if cfg.order:
+    if cfg.order is not None:
         try:
-            cfg.order = [int(part) for part in cfg.order.split(",")]
+            cfg.order = [int(part) for part in cfg.order.split(",")] if cfg.order else []
         except ValueError as exc:
             print(f"error: bad --order value: {exc}", file=sys.stderr)
             raise SystemExit(1)
@@ -103,7 +103,7 @@ def _load_graph(cfg: argparse.Namespace) -> RibbonGraph:
     with open(cfg.input, "r", encoding="utf-8") as handle:
         document = json.load(handle)
     graph = graph_from_json(document)
-    if cfg.order:
+    if cfg.order is not None:
         graph = graph.with_edge_order(edge_order_from_numbers(cfg.order, graph.edge_count))
     return graph
 

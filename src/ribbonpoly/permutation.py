@@ -105,7 +105,7 @@ class Perm:
         )
 
     def cycle_string(self) -> str:
-        orbits = [o for o in self.orbits() if len(o) > 1] or ([] if self.size else [])
+        orbits = [o for o in self.orbits() if len(o) > 1]
         if not orbits:
             return "()"
         return "".join("(" + ",".join(map(str, o)) + ")" for o in orbits)

@@ -22,7 +22,9 @@ resolution fails, and the 1-resolution is tested only when the
 0-resolution passes.  When an edge is skipped, the resolution that failed
 stays impossible below, so the edge takes the other value in the unique
 quasi-tree of every leaf under it; the leaf's unresolved edges are
-exactly that quasi-tree's live edges.
+exactly that quasi-tree's live edges, so a leaf reads its activities from
+its resolution.  The tests check them against :func:`classify_activities`,
+the chord-crossing definition.
 
 Each quasi-tree contributes the weight
 
@@ -166,35 +168,41 @@ class PartialResolution:
 
 @dataclass(frozen=True)
 class QuasiTree:
-    """A leaf of the resolution tree: a quasi-tree with its diagram and activities.
+    """A leaf of the resolution tree: a quasi-tree with its diagram and resolution.
 
     The leaf has one face and so one component, which gives its genus by
-    Euler's formula.  The dead subgraph and the contracted graph, which
-    only the weight needs, are built on each access.
+    Euler's formula.  Its activities are read from its resolution; the tests
+    check them against :func:`classify_activities`.  Equality ignores the
+    diagram, a function of the parent and the edges.  The dead subgraph and
+    the contracted graph, which only the weight needs, are built on each access.
     """
 
     parent: RibbonGraph = field(repr=False)
     edges: frozenset[int]
     genus: int
-    diagram: ChordDiagram = field(repr=False)
-    activities: tuple[Activity, ...]
+    diagram: ChordDiagram = field(repr=False, compare=False)
     resolution: PartialResolution
 
-    def _edges_with(self, activity: Activity) -> frozenset[int]:
-        return frozenset(e for e, a in enumerate(self.activities) if a is activity)
+    @property
+    def activities(self) -> tuple[Activity, ...]:
+        """Per edge id: state 1 is D, state 0 is d, and an unresolved edge is L or ℓ."""
+        dead = (Activity.EXTERNALLY_DEAD, Activity.INTERNALLY_DEAD)
+        live = (Activity.EXTERNALLY_LIVE, Activity.INTERNALLY_LIVE)
+        states = enumerate(self.resolution.states)
+        return tuple(dead[s] if s is not None else live[e in self.edges] for e, s in states)
 
     @property
     def live_internal(self) -> frozenset[int]:
-        return self._edges_with(Activity.INTERNALLY_LIVE)
+        return self.edges.intersection(self.resolution.unresolved())
 
     @property
     def live_external(self) -> frozenset[int]:
-        return self._edges_with(Activity.EXTERNALLY_LIVE)
+        return frozenset(self.resolution.unresolved()).difference(self.edges)
 
     @property
     def dead_subgraph(self) -> SpanningSubgraph:
         """The spanning subgraph of the internally dead edges, built on each access."""
-        return self.parent.spanning_subgraph(self._edges_with(Activity.INTERNALLY_DEAD))
+        return self.parent.spanning_subgraph(self.resolution.included())
 
     @property
     def contracted_graph(self) -> MultiGraph:
@@ -202,10 +210,9 @@ class QuasiTree:
         internal ones.  Built on each access."""
         graph = self.parent
         v = graph.vertex_count
-        dead = self._edges_with(Activity.INTERNALLY_DEAD)
         links = (
             (graph.vertex_of(a), graph.vertex_of(b))
-            for a, b in map(graph.edges.__getitem__, dead)
+            for a, b in map(graph.edges.__getitem__, self.resolution.included())
         )
         _, find = _union_find(v, links, range(v))
         component_index: dict[int, int] = {}
@@ -238,15 +245,8 @@ def _build_quasi_tree(
     # raises NotQuasiTree unless the leaf has one face, and so one
     # component, since every component has a face
     diagram = chord_diagram(graph, edge_set)
-    activities = classify_activities(diagram, edge_set, graph.edge_order)
-    resolution = PartialResolution(tuple(states))
-    live = frozenset(e for e, a in enumerate(activities) if a.is_live)
-    if live != frozenset(resolution.unresolved()):
-        raise AssertionError(
-            f"leaf {resolution.states} disagrees with live edges {sorted(live)}"
-        )
     genus = _genus_from(1, graph.vertex_count, len(edge_set), 1)
-    return QuasiTree(graph, edge_set, genus, diagram, activities, resolution)
+    return QuasiTree(graph, edge_set, genus, diagram, PartialResolution(tuple(states)))
 
 
 def _gamma_connected(

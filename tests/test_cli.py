@@ -200,6 +200,7 @@ TORUS_THETA = Path(__file__).resolve().parent.parent / "graphs" / "torus_theta.j
         ("1,1,2", None, "[1, 1, 2]"),
         ("0,1,2", None, "[0, 1, 2]"),
         (None, [2, 3, 4], "[2, 3, 4]"),
+        ("", None, "[]"),
     ],
 )
 def test_bad_edge_order_names_the_numbers_as_written(
@@ -211,7 +212,7 @@ def test_bad_edge_order_names_the_numbers_as_written(
         document["edge_order"] = document_order
         path = tmp_path / "torus_theta.json"
         path.write_text(json.dumps(document))
-    argv = ["count", str(path)] + (["--order", order] if order else [])
+    argv = ["count", str(path)] + (["--order", order] if order is not None else [])
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == (

@@ -129,6 +129,14 @@ def test_worked_graph_enumeration(genus2_graph):
     assert genus_histogram(qts) == {0: 4, 1: 7, 2: 1}
 
 
+def test_quasi_trees_compare_and_hash_by_value(genus2_graph):
+    first = enumerate_quasi_trees(genus2_graph)
+    second = enumerate_quasi_trees(genus2_graph)
+    assert first == second
+    assert [hash(q) for q in first] == [hash(q) for q in second]
+    assert len(set(first + second)) == len(first)
+
+
 def test_planar_loop_graph_has_single_quasi_tree(one_loop):
     assert [q.edges for q in enumerate_quasi_trees(one_loop)] == [frozenset()]
 
