@@ -12,6 +12,10 @@ independent route, so that tests can compare the two:
 * :func:`completion_by_gamma` completes a leaf by re-testing each
   unresolved edge, an oracle for the edge values the enumeration fixes
   when it skips a nugatory edge;
+* :func:`dead_subgraph` and :func:`contracted_graph` build a leaf's dead
+  subgraph and contracted multigraph, and :func:`weight_by_subgraphs`
+  takes a leaf's weight from them, an oracle for
+  :func:`~ribbonpoly.quasi_tree_weight`;
 * :func:`tutte_by_subgraph_sum` is the defining sum of the Tutte
   polynomial, an oracle for deletion/contraction;
 * :func:`interval_state_sum` is the state sum restricted to the interval
@@ -29,7 +33,19 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ribbonpoly import MPoly, MultiGraph, PartialResolution, RibbonGraph, X, Y, build_ribbon_graph
+from ribbonpoly import (
+    MPoly,
+    MultiGraph,
+    ONE,
+    PartialResolution,
+    QuasiTree,
+    RibbonGraph,
+    SpanningSubgraph,
+    X,
+    Y,
+    Z,
+    build_ribbon_graph,
+)
 from ribbonpoly.expansions import _subgraph_sum
 
 # -- standalone restriction of a spanning subgraph ------------------------------
@@ -158,6 +174,52 @@ def completion_by_gamma(graph: RibbonGraph, resolution: PartialResolution) -> fr
         for eid in free
         if _gamma_connected(graph, included | {eid}, (e for e in free if e != eid))
     )
+
+
+def dead_subgraph(q: QuasiTree) -> SpanningSubgraph:
+    """The spanning subgraph of a leaf's internally dead edges."""
+    return q.parent.spanning_subgraph(q.resolution.included())
+
+
+def contracted_graph(q: QuasiTree) -> MultiGraph:
+    """Vertices are the components of the dead subgraph, found by a search
+    over its edges; edges are the internally live ones, by edge id."""
+    graph = q.parent
+    neighbours: dict[int, set[int]] = {vi: set() for vi in range(graph.vertex_count)}
+    for eid in q.resolution.included():
+        a, b = (graph.vertex_of(h) for h in graph.edges[eid])
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    component: dict[int, int] = {}
+    count = 0
+    for start in range(graph.vertex_count):
+        if start in component:
+            continue
+        component[start] = count
+        frontier = [start]
+        while frontier:
+            for nxt in neighbours[frontier.pop()]:
+                if nxt not in component:
+                    component[nxt] = count
+                    frontier.append(nxt)
+        count += 1
+    live = sorted(q.edges.intersection(q.resolution.unresolved()))
+    edges = tuple(
+        (*(component[graph.vertex_of(h)] for h in graph.edges[eid]), eid) for eid in live
+    )
+    return MultiGraph(count, edges)
+
+
+def weight_by_subgraphs(q: QuasiTree) -> tuple[int, int, int, MPoly, MPoly]:
+    """``(n(D), g(D), |external live|, T(X, 1+YZ), expanded weight)`` of a
+    leaf, from its dead subgraph and its contracted multigraph."""
+    dead = dead_subgraph(q)
+    external_live = len(frozenset(q.resolution.unresolved()) - q.edges)
+    tutte = contracted_graph(q).tutte_polynomial().substitute(y=ONE + Y * Z)
+    expanded = (
+        MPoly.monomial(1, y=dead.nullity, z=dead.genus) * (ONE + Y) ** external_live * tutte
+    )
+    return dead.nullity, dead.genus, external_live, tutte, expanded
 
 
 # -- subgraph sums ----------------------------------------------------------------

@@ -7,7 +7,10 @@ subgraphs, and each leaf's quasi-tree must be the one the completion rule
 of :func:`oracles.completion_by_gamma` picks from its interval.  Each
 leaf's activities must be the chord-crossing classification of
 :func:`ribbonpoly.classify_activities`.  The genus histogram of the leaves
-must equal the genus-counting specialisation of the polynomial.
+must equal the genus-counting specialisation of the polynomial.  Each
+leaf's weight must equal the one :func:`oracles.weight_by_subgraphs` takes
+from its dead subgraph and contracted multigraph, and the quasi-tree sum
+must be the sum of those weights.
 
 Run as a script to take the census of a larger chord count, for example
 ``PYTHONPATH=src:tests python tests/test_census.py 6`` for the 10,395
@@ -27,10 +30,12 @@ from ribbonpoly import (
     enumerate_quasi_trees,
     genus_counting_series,
     genus_histogram,
+    quasi_tree_sum,
+    quasi_tree_weight,
     verify_all,
 )
 from ribbonpoly.generate import all_one_vertex_graphs, one_vertex_graphs
-from oracles import completion_by_gamma, quasi_trees_by_brute_force
+from oracles import completion_by_gamma, quasi_trees_by_brute_force, weight_by_subgraphs
 
 
 def check(graph):
@@ -40,10 +45,17 @@ def check(graph):
     assert genus_counting_series(polynomial) == MPoly(by_genus)
     assert {q.edges for q in leaves} == quasi_trees_by_brute_force(graph)
     assert len(leaves) == len({q.edges for q in leaves})
+    total = MPoly.zero()
     for q in leaves:
         assert q.edges == completion_by_gamma(graph, q.resolution), q.resolution
         expected = classify_activities(q.diagram, q.edges, graph.edge_order)
         assert q.activities == expected, q.resolution
+        w = quasi_tree_weight(q)
+        weight = (w.nullity_dead, w.genus_dead, w.external_live_count, w.tutte_factor, w.expanded)
+        reference = weight_by_subgraphs(q)
+        assert weight == reference, q.resolution
+        total = total + reference[-1]
+    assert quasi_tree_sum(graph).polynomial == total
 
 
 def random_map(rng):
