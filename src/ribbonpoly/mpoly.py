@@ -14,6 +14,7 @@ order and round-trips the canonical form.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -256,17 +257,16 @@ class MPoly:
         if stripped == "0":
             return cls.zero()
         terms: dict[ExponentKey, int] = {}
-        for chunk in stripped.replace("-", "+-").split("+"):
+        # terms alternate with operators, and a leading minus signs the first
+        pieces = re.split(r"([+-])", stripped)
+        signs, chunks = ["+", *pieces[1::2]], pieces[0::2]
+        if stripped.startswith("-"):
+            del signs[0], chunks[0]
+        for sign, chunk in zip(signs, chunks):
             chunk = chunk.strip()
             if not chunk:
-                continue
-            sign = 1
-            if chunk.startswith("-"):
-                sign = -1
-                chunk = chunk[1:].strip()
-            if not chunk:
-                raise ValueError(f"dangling sign in {text!r}")
-            coeff = sign
+                raise ValueError(f"empty term in {text!r}")
+            coeff = -1 if sign == "-" else 1
             exps = [0, 0, 0, 0]
             for factor in chunk.split("*"):
                 factor = factor.strip()
@@ -299,15 +299,20 @@ class MPoly:
 
     @classmethod
     def from_json_terms(cls, data: Iterable[Mapping[str, int]]) -> MPoly:
+        """Inverse of :meth:`to_json_terms`: each entry is an object with a
+        ``coeff`` and optional ``x``, ``y``, ``z``, ``t`` exponents, all plain
+        ints; anything else (``bool`` included) raises ValueError."""
         terms: dict[ExponentKey, int] = {}
         for entry in data:
-            key = (
-                int(entry.get("x", 0)),
-                int(entry.get("y", 0)),
-                int(entry.get("z", 0)),
-                int(entry.get("t", 0)),
-            )
-            terms[key] = terms.get(key, 0) + int(entry["coeff"])
+            if not (
+                isinstance(entry, dict)
+                and "coeff" in entry
+                and entry.keys() <= {"coeff", "x", "y", "z", "t"}
+                and all(type(value) is int for value in entry.values())
+            ):
+                raise ValueError(f"term {entry!r} must map coeff and any of x, y, z, t to ints")
+            key = tuple(entry.get(name, 0) for name in ("x", "y", "z", "t"))
+            terms[key] = terms.get(key, 0) + entry["coeff"]
         return cls(terms)
 
 

@@ -59,6 +59,19 @@ def test_parse_rejects_garbage():
         MPoly.parse("2**X")
 
 
+@pytest.mark.parametrize(
+    "text", ["X + + Y", "X +", "X -", "+ X", "-", "X + - Y", "X - -Y", "1 +  + 2"]
+)
+def test_parse_rejects_empty_terms(text):
+    with pytest.raises(ValueError):
+        MPoly.parse(text)
+
+
+def test_parse_accepts_a_leading_minus():
+    assert MPoly.parse("-X + Y") == Y - X
+    assert MPoly.parse(" - X^2 - 1") == -(X**2) - 1
+
+
 @pytest.mark.parametrize("text", ["X^-1", "Y^+2", "X^", "2*X^-3 + 1"])
 def test_parse_rejects_signed_or_missing_exponents(text):
     with pytest.raises(ValueError):
@@ -136,6 +149,26 @@ def test_json_terms_roundtrip():
     p = GENUS2_POLY
     assert MPoly.from_json_terms(p.to_json_terms()) == p
     assert p.to_json_terms()[0] == {"coeff": 1, "x": 2, "y": 2, "z": 0, "t": 0}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"x": 1.5, "coeff": 2},
+        {"x": 1, "coeff": 2.0},
+        {"x": True, "coeff": 2},
+        {"coeff": True},
+        {"x": "1", "coeff": 1},
+        {"x": None, "coeff": 1},
+        {"q": 1, "coeff": 1},
+        {"x": 1},
+        [1, 0, 0, 0],
+        {"x": -1, "coeff": 1},
+    ],
+)
+def test_json_terms_reject_anything_but_plain_int_fields(entry):
+    with pytest.raises(ValueError):
+        MPoly.from_json_terms([{"coeff": 1}, entry])
 
 
 @given(polys)
