@@ -35,7 +35,8 @@ from typing import Sequence
 
 from .errors import BijectionFailure, Disconnected, IdentityFailure, Mismatch, SizeLimit
 from .mpoly import MPoly, ONE, Y
-from .quasitrees import enumerate_quasi_trees, genus_histogram, quasi_tree_weight
+from .multigraph import _union_find
+from .quasitrees import WeightKey, enumerate_quasi_trees, genus_histogram, key_weight
 from .ribbon import RibbonGraph
 
 DEFAULT_SUBGRAPH_CAP = 24
@@ -204,7 +205,8 @@ def deletion_contraction(graph: RibbonGraph) -> BrtResult:
             # connected with >= 2 vertices, so a non-loop edge exists
             pivot = next(ei for ei in reversed(g.edge_order) if not g.is_loop(ei))
             rest = [ei for ei in range(g.edge_count) if ei != pivot]
-            if g.subgraph_counts(rest).components > 1:  # bridge
+            links = map(g.edges.__getitem__, rest)
+            if _union_find(g.vertex_count, links, g._vertex_of)[0] > 1:  # bridge
                 stack.append((g.contract_edge(pivot), bridges + 1))
             else:
                 stack.append((g.contract_edge(pivot), bridges))
@@ -216,17 +218,23 @@ def deletion_contraction(graph: RibbonGraph) -> BrtResult:
 def quasi_tree_sum(graph: RibbonGraph) -> BrtResult:
     """The three-variable polynomial as the sum of one weight per quasi-tree.
 
-    The result does not depend on the edge order even though each weight
-    does.  For one-vertex graphs every contracted graph is a bouquet of
-    loops, so the Tutte factor degenerates to (1+YZ)^|internal live|.
-    ``term_count`` is the number of quasi-trees.  Raises
+    Leaves are tallied by :meth:`~ribbonpoly.QuasiTree.weight_key`, and
+    each distinct key's weight is expanded once, times its count.  The
+    result does not depend on the edge order even though each weight does.
+    For one-vertex graphs every contracted graph is a bouquet of loops, so
+    the Tutte factor degenerates to (1+YZ)^|internal live|.  ``term_count``
+    is the number of quasi-trees.  Raises
     :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
     """
     start = time.perf_counter()
     quasi_trees = enumerate_quasi_trees(graph)
-    total = MPoly.zero()
+    tally: dict[WeightKey, int] = {}
     for qt in quasi_trees:
-        total = total + quasi_tree_weight(qt).expanded
+        key = qt.weight_key()
+        tally[key] = tally.get(key, 0) + 1
+    total = MPoly.zero()
+    for key, multiplicity in tally.items():
+        total = total + key_weight(key, multiplicity).expanded
     return BrtResult(total, Method.QUASI_TREE, len(quasi_trees), time.perf_counter() - start)
 
 

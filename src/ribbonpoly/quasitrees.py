@@ -32,10 +32,14 @@ Each quasi-tree contributes the weight
 
 where D is the spanning subgraph of internally dead edges and T is the
 Tutte polynomial of the contracted graph whose vertices are the
-components of D and whose edges are the internally live edges.  Summed
-over all quasi-trees (:func:`ribbonpoly.expansions.quasi_tree_sum`) this
-equals the three-variable polynomial computed by the state sum over all
-spanning subgraphs, with far fewer summands.
+components of D and whose edges are the internally live edges.  A leaf
+enters its weight only through its key ``(n(D), g(D), |external live|,
+k(D), shape)``; the shape, the component-index pairs of the internally
+live edges, is the contracted graph up to edge ids, which T ignores.
+:func:`ribbonpoly.expansions.quasi_tree_sum` tallies the leaves by key and
+expands each distinct key once, times its count; the sum equals the
+three-variable polynomial computed by the state sum over all spanning
+subgraphs, with far fewer summands.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Iterable, Sequence
 from .errors import NotQuasiTree, SplitRoot
 from .mpoly import MPoly, ONE, Y, Z
 from .multigraph import MultiGraph, _union_find
-from .ribbon import RibbonGraph, SpanningSubgraph, _checked_edge_order, _genus_from
+from .ribbon import RibbonGraph, _checked_edge_order, _genus_from
 
 
 class Activity(Enum):
@@ -166,22 +170,29 @@ class PartialResolution:
         return 1 << len(self.unresolved())
 
 
+WeightKey = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class QuasiTree:
-    """A leaf of the resolution tree: a quasi-tree with its diagram and resolution.
+    """A leaf of the resolution tree: a quasi-tree with its resolution.
 
     The leaf has one face and so one component, which gives its genus by
     Euler's formula.  Its activities are read from its resolution; the tests
-    check them against :func:`classify_activities`.  Equality ignores the
-    diagram, a function of the parent and the edges.  The dead subgraph and
-    the contracted graph, which only the weight needs, are built on each access.
+    check them against :func:`classify_activities`.  The chord diagram, a
+    function of the parent and the edges, is built on each access, and the
+    weight reads only :meth:`weight_key`.
     """
 
     parent: RibbonGraph = field(repr=False)
     edges: frozenset[int]
     genus: int
-    diagram: ChordDiagram = field(repr=False, compare=False)
     resolution: PartialResolution
+
+    @property
+    def diagram(self) -> ChordDiagram:
+        """The chord diagram of the leaf's boundary walk, built on each access."""
+        return chord_diagram(self.parent, self.edges)
 
     @property
     def activities(self) -> tuple[Activity, ...]:
@@ -199,36 +210,28 @@ class QuasiTree:
     def live_external(self) -> frozenset[int]:
         return frozenset(self.resolution.unresolved()).difference(self.edges)
 
-    @property
-    def dead_subgraph(self) -> SpanningSubgraph:
-        """The spanning subgraph of the internally dead edges, built on each access."""
-        return self.parent.spanning_subgraph(self.resolution.included())
+    def weight_key(self) -> WeightKey:
+        """``(n(D), g(D), |external live|, k(D), shape)`` for the dead subgraph D.
 
-    @property
-    def contracted_graph(self) -> MultiGraph:
-        """Vertices are the components of the dead subgraph; edges the live
-        internal ones.  Built on each access."""
-        graph = self.parent
+        One union-find over D numbers its components in order of first
+        appearance.  The shape is the sorted tuple of ``(min, max)``
+        component indices of the internally live edges: the contracted graph
+        W up to edge ids.  Joining those edges to D gives the leaf and adds
+        n(W) = |internal live| - k(D) + 1 to the genus, so g(D) needs no face walk.
+        """
+        graph, states, vertex_of = self.parent, self.resolution.states, self.parent._vertex_of
+        dead = [e for e, s in enumerate(states) if s == 1]
+        live = [e for e, s in enumerate(states) if s is None]
         v = graph.vertex_count
-        links = (
-            (graph.vertex_of(a), graph.vertex_of(b))
-            for a, b in map(graph.edges.__getitem__, self.resolution.included())
-        )
-        _, find = _union_find(v, links, range(v))
-        component_index: dict[int, int] = {}
-        for vi in range(v):
-            root = find(vi)
-            if root not in component_index:
-                component_index[root] = len(component_index)
-        edges = tuple(
-            (
-                component_index[find(graph.vertex_of(graph.edges[eid][0]))],
-                component_index[find(graph.vertex_of(graph.edges[eid][1]))],
-                eid,
-            )
-            for eid in sorted(self.live_internal)
-        )
-        return MultiGraph(len(component_index), edges)
+        components, find = _union_find(v, map(graph.edges.__getitem__, dead), vertex_of)
+        index: dict[int, int] = {}
+        component = [index.setdefault(find(vi), len(index)) for vi in range(v)]
+        internal = [graph.edges[e] for e in live if e in self.edges]
+        ends = ((component[vertex_of[a]], component[vertex_of[b]]) for a, b in internal)
+        shape = tuple(sorted((min(u, w), max(u, w)) for u, w in ends))
+        nullity = len(dead) - v + components
+        genus = self.genus - (len(internal) - components + 1)
+        return nullity, genus, len(live) - len(internal), components, shape
 
     def bitstring(self) -> str:
         return self.parent.bitstring(self.edges)
@@ -242,11 +245,13 @@ def _build_quasi_tree(
     edge_set: frozenset[int],
     states: Sequence[int | None],
 ) -> QuasiTree:
-    # raises NotQuasiTree unless the leaf has one face, and so one
-    # component, since every component has a face
-    diagram = chord_diagram(graph, edge_set)
+    # the leaf must have one face, and so one component, since every
+    # component has a face
+    faces = graph.face_count(edge_set)
+    if faces != 1:
+        raise NotQuasiTree(f"subgraph has {faces} boundary components, expected one")
     genus = _genus_from(1, graph.vertex_count, len(edge_set), 1)
-    return QuasiTree(graph, edge_set, genus, diagram, PartialResolution(tuple(states)))
+    return QuasiTree(graph, edge_set, genus, PartialResolution(tuple(states)))
 
 
 def _gamma_connected(
@@ -315,13 +320,13 @@ def genus_histogram(quasi_trees: Iterable[QuasiTree]) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class QuasiTreeWeight:
-    """One quasi-tree's summand, kept in factored pieces and expanded."""
+    """The summand of the leaves sharing one weight key, in factored pieces and expanded."""
 
     nullity_dead: int
     genus_dead: int
     external_live_count: int
     tutte_factor: MPoly  # Tutte polynomial of the contracted graph at (X, 1+YZ)
-    expanded: MPoly
+    expanded: MPoly  # the product, times the number of leaves
 
     def factored_string(self) -> str:
         parts = []
@@ -339,19 +344,19 @@ class QuasiTreeWeight:
         return "*".join(parts) if parts else "1"
 
 
-def quasi_tree_weight(qt: QuasiTree) -> QuasiTreeWeight:
-    dead = qt.dead_subgraph
-    external_live_count = len(qt.live_external)
-    tutte = qt.contracted_graph.tutte_polynomial().substitute(y=ONE + Y * Z)
+def key_weight(key: WeightKey, multiplicity: int = 1) -> QuasiTreeWeight:
+    """The weight of ``multiplicity`` leaves with the weight key ``key``."""
+    nullity, genus, external_live_count, components, shape = key
+    contracted = MultiGraph(components, tuple((u, v, i) for i, (u, v) in enumerate(shape)))
+    tutte = contracted.tutte_polynomial().substitute(y=ONE + Y * Z)
     expanded = (
-        MPoly.monomial(1, y=dead.nullity, z=dead.genus)
+        MPoly.monomial(multiplicity, y=nullity, z=genus)
         * (ONE + Y) ** external_live_count
         * tutte
     )
-    return QuasiTreeWeight(
-        nullity_dead=dead.nullity,
-        genus_dead=dead.genus,
-        external_live_count=external_live_count,
-        tutte_factor=tutte,
-        expanded=expanded,
-    )
+    return QuasiTreeWeight(nullity, genus, external_live_count, tutte, expanded)
+
+
+def quasi_tree_weight(qt: QuasiTree) -> QuasiTreeWeight:
+    """One quasi-tree's weight: its key's weight with multiplicity 1."""
+    return key_weight(qt.weight_key())

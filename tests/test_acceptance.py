@@ -43,7 +43,7 @@ from conftest import (
     GENUS2_SPANNING_TREE_TABLE,
     PRINTED_001010_CYCLE,
 )
-from oracles import quasi_trees_by_brute_force
+from oracles import contracted_graph, dead_subgraph, quasi_trees_by_brute_force
 
 
 def _pass(number, message):
@@ -136,10 +136,10 @@ def test_criterion_06_two_embeddings_of_one_graph(planar_theta, torus_theta):
 
 
 def _check_split_identities(graph, quasi_tree):
-    dead = quasi_tree.dead_subgraph
+    dead = dead_subgraph(quasi_tree)
     internal = sorted(quasi_tree.live_internal)
     external = sorted(quasi_tree.live_external)
-    contracted = quasi_tree.contracted_graph
+    contracted = contracted_graph(quasi_tree)
     for r in range(len(internal) + 1):
         for part1 in itertools.combinations(internal, r):
             joined = graph.subgraph_counts(dead.edges | frozenset(part1))

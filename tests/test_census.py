@@ -9,8 +9,9 @@ leaf's activities must be the chord-crossing classification of
 :func:`ribbonpoly.classify_activities`.  The genus histogram of the leaves
 must equal the genus-counting specialisation of the polynomial.  Each
 leaf's weight must equal the one :func:`oracles.weight_by_subgraphs` takes
-from its dead subgraph and contracted multigraph, and the quasi-tree sum
-must be the sum of those weights.
+from its dead subgraph and contracted multigraph, its weight key must be
+read from the same pieces, and the quasi-tree sum, which expands each
+distinct key once, must be the sum of those weights over the leaves.
 
 Run as a script to take the census of a larger chord count, for example
 ``PYTHONPATH=src:tests python tests/test_census.py 6`` for the 10,395
@@ -35,7 +36,12 @@ from ribbonpoly import (
     verify_all,
 )
 from ribbonpoly.generate import all_one_vertex_graphs, one_vertex_graphs
-from oracles import completion_by_gamma, quasi_trees_by_brute_force, weight_by_subgraphs
+from oracles import (
+    completion_by_gamma,
+    contracted_graph,
+    quasi_trees_by_brute_force,
+    weight_by_subgraphs,
+)
 
 
 def check(graph):
@@ -54,8 +60,12 @@ def check(graph):
         weight = (w.nullity_dead, w.genus_dead, w.external_live_count, w.tutte_factor, w.expanded)
         reference = weight_by_subgraphs(q)
         assert weight == reference, q.resolution
+        contracted = contracted_graph(q)
+        pairs = tuple(sorted((min(u, v), max(u, v)) for u, v, _ in contracted.edges))
+        assert q.weight_key() == (*reference[:3], contracted.vertex_count, pairs), q.resolution
         total = total + reference[-1]
-    assert quasi_tree_sum(graph).polynomial == total
+    result = quasi_tree_sum(graph)
+    assert (result.polynomial, result.term_count) == (total, len(leaves))
 
 
 def random_map(rng):

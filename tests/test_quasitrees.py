@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from ribbonpoly import (
     MultiGraph,
     NotQuasiTree,
     ONE,
+    QuasiTree,
     SplitRoot,
     X,
     Y,
@@ -23,9 +25,16 @@ from ribbonpoly import (
     quasi_tree_weight,
 )
 from ribbonpoly.generate import all_one_vertex_graphs, random_connected_ribbon_graph
-from ribbonpoly.quasitrees import _build_quasi_tree
+from ribbonpoly.quasitrees import _build_quasi_tree, key_weight
 from conftest import GENUS2_POLY, GENUS2_QUASI_TREE_TABLE
-from oracles import completions, contains, quasi_trees_by_brute_force, resolution_string
+from oracles import (
+    completions,
+    contains,
+    contracted_graph,
+    dead_subgraph,
+    quasi_trees_by_brute_force,
+    resolution_string,
+)
 
 
 # -- chord diagrams -----------------------------------------------------------
@@ -150,7 +159,7 @@ def test_trivial_graph_quasi_tree():
 def test_leaf_with_two_faces_is_not_a_quasi_tree(planar_theta):
     # two edges of the planar theta make a cycle: one component, two faces
     assert planar_theta.subgraph_counts([0, 1])[:3] == (1, 2, 2)
-    with pytest.raises(NotQuasiTree):
+    with pytest.raises(NotQuasiTree, match="has 2 boundary components, expected one"):
         _build_quasi_tree(planar_theta, frozenset({0, 1}), (1, 1, 0))
 
 
@@ -225,7 +234,7 @@ def test_single_edge_effects_on_dead_subgraph():
     for _ in range(12):
         graph = random_connected_ribbon_graph(rng, rng.randint(1, 7))
         for q in enumerate_quasi_trees(graph):
-            dead = q.dead_subgraph
+            dead = dead_subgraph(q)
             for eid in q.live_external:
                 grown = graph.subgraph_counts(dead.edges | {eid})
                 assert grown.faces == dead.faces + 1
@@ -249,18 +258,17 @@ def _components(vertex_count, links):
 
 
 def _check_split_identities(graph, q):
-    dead = q.dead_subgraph
+    dead = dead_subgraph(q)
+    contracted = contracted_graph(q)
     internal = sorted(q.live_internal)
     external = sorted(q.live_external)
     for r in range(len(internal) + 1):
         for part1 in itertools.combinations(internal, r):
             with_internal = graph.subgraph_counts(dead.edges | frozenset(part1))
-            contracted_sub = [
-                (u, v) for u, v, eid in q.contracted_graph.edges if eid in part1
-            ]
+            contracted_sub = [(u, v) for u, v, eid in contracted.edges if eid in part1]
             # nullity of the matching spanning subgraph of the contracted graph
-            k_w = _components(q.contracted_graph.vertex_count, contracted_sub)
-            n_w = k_w - q.contracted_graph.vertex_count + len(part1)
+            k_w = _components(contracted.vertex_count, contracted_sub)
+            n_w = k_w - contracted.vertex_count + len(part1)
             assert with_internal.nullity == dead.nullity + n_w
             assert with_internal.genus == dead.genus + n_w
             for s in range(len(external) + 1):
@@ -319,7 +327,7 @@ def test_one_vertex_weights_degenerate_to_loop_factors():
     for graph in all_one_vertex_graphs(3):
         for q in enumerate_quasi_trees(graph):
             w = quasi_tree_weight(q)
-            dead = q.dead_subgraph
+            dead = dead_subgraph(q)
             assert w.expanded == (
                 MPoly.monomial(1, y=dead.nullity, z=dead.genus)
                 * (ONE + Y) ** len(q.live_external)
@@ -337,9 +345,41 @@ def test_expansion_is_edge_order_independent(genus2_graph, torus_theta):
             assert quasi_tree_sum(graph.with_edge_order(ids)).polynomial == reference
 
 
+def test_leaf_keeps_four_fields_and_builds_its_diagram(genus2_graph):
+    assert [f.name for f in fields(QuasiTree)] == ["parent", "edges", "genus", "resolution"]
+    for q in enumerate_quasi_trees(genus2_graph):
+        assert q.diagram.cycle == chord_diagram(genus2_graph, q.edges).cycle
+
+
+def test_named_weight_key(genus2_graph):
+    by_bits = {q.bitstring(): q for q in enumerate_quasi_trees(genus2_graph)}
+    # D is one loop, so its components are the three vertices, which the
+    # three live internal edges join as two parallel edges and a bridge
+    key = by_bits["011101"].weight_key()
+    assert key == (1, 0, 1, 3, ((0, 1), (0, 1), (1, 2)))
+    assert key_weight(key).expanded == quasi_tree_weight(by_bits["011101"]).expanded
+
+
+def test_key_weight_scales_with_multiplicity(genus2_graph):
+    for q in enumerate_quasi_trees(genus2_graph):
+        key = q.weight_key()
+        assert key_weight(key, 3).expanded == 3 * key_weight(key).expanded
+        assert key_weight(key, 3).tutte_factor == key_weight(key).tutte_factor
+
+
+def test_leaves_share_few_weight_keys():
+    # every one-vertex leaf's key is (n, g, |external live|, 1, loops), so
+    # the keys are far fewer than the leaves
+    graph = build_ribbon_graph([list(range(1, 13))], [[i, i + 6] for i in range(1, 7)])
+    leaves = enumerate_quasi_trees(graph)
+    keys = {q.weight_key() for q in leaves}
+    assert all(key[3] == 1 and set(key[4]) <= {(0, 0)} for key in keys)
+    assert len(keys) < len(leaves)
+
+
 def test_contracted_graph_shape(genus2_graph):
     by_bits = {q.bitstring(): q for q in enumerate_quasi_trees(genus2_graph)}
-    gq = by_bits["011101"].contracted_graph
+    gq = contracted_graph(by_bits["011101"])
     assert gq.vertex_count == 3
     degree_pairs = sorted((min(u, v), max(u, v)) for u, v, _ in gq.edges)
     assert len(gq.edges) == 3
