@@ -203,7 +203,7 @@ def contracted_graph(q: QuasiTree) -> MultiGraph:
                     component[nxt] = count
                     frontier.append(nxt)
         count += 1
-    live = sorted(q.edges.intersection(q.resolution.unresolved()))
+    live = sorted(q.live_internal)
     edges = tuple(
         (*(component[graph.vertex_of(h)] for h in graph.edges[eid]), eid) for eid in live
     )
@@ -214,7 +214,7 @@ def weight_by_subgraphs(q: QuasiTree) -> tuple[int, int, int, MPoly, MPoly]:
     """``(n(D), g(D), |external live|, T(X, 1+YZ), expanded weight)`` of a
     leaf, from its dead subgraph and its contracted multigraph."""
     dead = dead_subgraph(q)
-    external_live = len(frozenset(q.resolution.unresolved()) - q.edges)
+    external_live = len(q.live_external)
     tutte = contracted_graph(q).tutte_polynomial().substitute(y=ONE + Y * Z)
     expanded = (
         MPoly.monomial(1, y=dead.nullity, z=dead.genus) * (ONE + Y) ** external_live * tutte
