@@ -32,13 +32,17 @@ class MPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[ExponentKey, int] | None = None):
+        """Raises ValueError on a coefficient or exponent that is not an int;
+        one that is a ``bool`` is stored as the plain int 0 or 1."""
         clean: dict[ExponentKey, int] = {}
         if terms:
             for key, coeff in terms.items():
-                if len(key) != 4 or any(e < 0 for e in key):
+                if len(key) != 4 or not all(isinstance(e, int) and e >= 0 for e in key):
                     raise ValueError(f"bad exponent vector {key!r}")
+                if not isinstance(coeff, int):
+                    raise ValueError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
-                    clean[tuple(key)] = int(coeff)
+                    clean[tuple(map(int, key))] = int(coeff)
         self._terms = clean
 
     # -- constructors -------------------------------------------------
@@ -135,7 +139,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> MPoly:
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
         result = MPoly.constant(1)
         base = self

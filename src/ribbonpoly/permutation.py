@@ -25,10 +25,6 @@ class Perm:
         self._images = images
 
     @classmethod
-    def identity(cls, size: int) -> Perm:
-        return cls(tuple(range(1, size + 1)))
-
-    @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], size: int) -> Perm:
         """Build a permutation from disjoint cycles; unmentioned labels are fixed.
 
@@ -86,17 +82,6 @@ class Perm:
                 i = self._images[i - 1]
             out.append(tuple(cycle))
         return out
-
-    def orbit_count(self) -> int:
-        return len(self.orbits())
-
-    def orbit_of(self, i: int) -> tuple[int, ...]:
-        cycle = [i]
-        j = self._images[i - 1]
-        while j != i:
-            cycle.append(j)
-            j = self._images[j - 1]
-        return tuple(cycle)
 
     def is_fixed_point_free_involution(self) -> bool:
         return all(

@@ -66,10 +66,6 @@ class Activity(Enum):
     def symbol(self) -> str:
         return self.value
 
-    @property
-    def is_live(self) -> bool:
-        return self in (Activity.INTERNALLY_LIVE, Activity.EXTERNALLY_LIVE)
-
 
 class ChordDiagram:
     """The marked boundary circle of a quasi-tree with edge pairs as chords."""
@@ -166,9 +162,6 @@ class PartialResolution:
     def included(self) -> frozenset[int]:
         return frozenset(e for e, s in enumerate(self.states) if s == 1)
 
-    def interval_size(self) -> int:
-        return 1 << len(self.unresolved())
-
 
 WeightKey = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
 
@@ -201,14 +194,6 @@ class QuasiTree:
         live = (Activity.EXTERNALLY_LIVE, Activity.INTERNALLY_LIVE)
         states = enumerate(self.resolution.states)
         return tuple(dead[s] if s is not None else live[e in self.edges] for e, s in states)
-
-    @property
-    def live_internal(self) -> frozenset[int]:
-        return self.edges.intersection(self.resolution.unresolved())
-
-    @property
-    def live_external(self) -> frozenset[int]:
-        return frozenset(self.resolution.unresolved()).difference(self.edges)
 
     def weight_key(self) -> WeightKey:
         """``(n(D), g(D), |external live|, k(D), shape)`` for the dead subgraph D.

@@ -13,8 +13,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
-from .permutation import Perm
-from .ribbon import RibbonGraph, build_ribbon_graph
+from ribbonpoly import Perm, RibbonGraph, build_ribbon_graph
 
 
 def perfect_matchings(labels: Sequence[int]) -> Iterator[list[tuple[int, int]]]:

@@ -25,6 +25,12 @@ independent route, so that tests can compare the two:
   ``build_ribbon_graph``, an oracle for the array splicing of
   :class:`~ribbonpoly.RibbonGraph`; :func:`disjoint_union` does the same
   for the array concatenation of :func:`~ribbonpoly.disjoint_union`.
+
+A few plain functions of the program's objects stand in for members the
+program itself never calls: :func:`identity`, :func:`orbit_of` and
+:func:`orbit_count` of a :class:`~ribbonpoly.Perm`, :func:`interval_size`
+of a partial resolution, :func:`is_live` of an activity, and
+:func:`live_internal` and :func:`live_external` of a quasi-tree.
 """
 
 from __future__ import annotations
@@ -34,10 +40,12 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ribbonpoly import (
+    Activity,
     MPoly,
     MultiGraph,
     ONE,
     PartialResolution,
+    Perm,
     QuasiTree,
     RibbonGraph,
     SpanningSubgraph,
@@ -47,6 +55,46 @@ from ribbonpoly import (
     build_ribbon_graph,
 )
 from ribbonpoly.expansions import _subgraph_sum
+
+# -- plain functions of the program's objects -----------------------------------
+
+
+def identity(size: int) -> Perm:
+    return Perm(tuple(range(1, size + 1)))
+
+
+def orbit_of(p: Perm, i: int) -> tuple[int, ...]:
+    """The cycle of ``p`` through ``i``, starting at ``i``."""
+    cycle = [i]
+    j = p(i)
+    while j != i:
+        cycle.append(j)
+        j = p(j)
+    return tuple(cycle)
+
+
+def orbit_count(p: Perm) -> int:
+    return len(p.orbits())
+
+
+def interval_size(resolution: PartialResolution) -> int:
+    """The number of full resolutions in the interval."""
+    return 1 << len(resolution.unresolved())
+
+
+def is_live(activity: Activity) -> bool:
+    return activity in (Activity.INTERNALLY_LIVE, Activity.EXTERNALLY_LIVE)
+
+
+def live_internal(q: QuasiTree) -> frozenset[int]:
+    """The leaf's unresolved edges inside its quasi-tree."""
+    return q.edges.intersection(q.resolution.unresolved())
+
+
+def live_external(q: QuasiTree) -> frozenset[int]:
+    """The leaf's unresolved edges outside its quasi-tree."""
+    return frozenset(q.resolution.unresolved()).difference(q.edges)
+
 
 # -- standalone restriction of a spanning subgraph ------------------------------
 
@@ -203,7 +251,7 @@ def contracted_graph(q: QuasiTree) -> MultiGraph:
                     component[nxt] = count
                     frontier.append(nxt)
         count += 1
-    live = sorted(q.live_internal)
+    live = sorted(live_internal(q))
     edges = tuple(
         (*(component[graph.vertex_of(h)] for h in graph.edges[eid]), eid) for eid in live
     )
@@ -214,7 +262,7 @@ def weight_by_subgraphs(q: QuasiTree) -> tuple[int, int, int, MPoly, MPoly]:
     """``(n(D), g(D), |external live|, T(X, 1+YZ), expanded weight)`` of a
     leaf, from its dead subgraph and its contracted multigraph."""
     dead = dead_subgraph(q)
-    external_live = len(q.live_external)
+    external_live = len(live_external(q))
     tutte = contracted_graph(q).tutte_polynomial().substitute(y=ONE + Y * Z)
     expanded = (
         MPoly.monomial(1, y=dead.nullity, z=dead.genus) * (ONE + Y) ** external_live * tutte

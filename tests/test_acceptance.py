@@ -32,7 +32,7 @@ from ribbonpoly import (
     state_sum,
     verify_all,
 )
-from ribbonpoly.generate import (
+from generators import (
     all_one_vertex_graphs,
     random_connected_ribbon_graph,
     random_planar_ribbon_graph,
@@ -43,7 +43,13 @@ from conftest import (
     GENUS2_SPANNING_TREE_TABLE,
     PRINTED_001010_CYCLE,
 )
-from oracles import contracted_graph, dead_subgraph, quasi_trees_by_brute_force
+from oracles import (
+    contracted_graph,
+    dead_subgraph,
+    live_external,
+    live_internal,
+    quasi_trees_by_brute_force,
+)
 
 
 def _pass(number, message):
@@ -137,8 +143,8 @@ def test_criterion_06_two_embeddings_of_one_graph(planar_theta, torus_theta):
 
 def _check_split_identities(graph, quasi_tree):
     dead = dead_subgraph(quasi_tree)
-    internal = sorted(quasi_tree.live_internal)
-    external = sorted(quasi_tree.live_external)
+    internal = sorted(live_internal(quasi_tree))
+    external = sorted(live_external(quasi_tree))
     contracted = contracted_graph(quasi_tree)
     for r in range(len(internal) + 1):
         for part1 in itertools.combinations(internal, r):

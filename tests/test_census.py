@@ -35,7 +35,7 @@ from ribbonpoly import (
     quasi_tree_weight,
     verify_all,
 )
-from ribbonpoly.generate import all_one_vertex_graphs, one_vertex_graphs
+from generators import all_one_vertex_graphs, one_vertex_graphs
 from oracles import (
     completion_by_gamma,
     contracted_graph,

@@ -1,7 +1,13 @@
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ribbonpoly.cli import main
 from conftest import GENUS2_POLY
@@ -191,7 +197,8 @@ def test_bad_order_value(genus2_file, capsys):
     capsys.readouterr()
 
 
-TORUS_THETA = Path(__file__).resolve().parent.parent / "graphs" / "torus_theta.json"
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+TORUS_THETA = GRAPHS / "torus_theta.json"
 
 
 @pytest.mark.parametrize(
@@ -232,3 +239,83 @@ def test_recursion_on_a_long_path_is_not_limited_by_python_stack(tmp_path, capsy
     assert main(["compute", str(path), "--method", "recursive"]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("X^1000\n", "")
+
+
+# -- hostile documents: the fixtures, mutated ---------------------------------------
+
+FIXTURES = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(GRAPHS.glob("*.json"))]
+
+COMMANDS = [
+    *(["compute", "--method", m] for m in ("statesum", "tree", "recursive", "quasitree", "all")),
+    *([name] for name in ("quasitrees", "count", "verify", "dual", "spanning-trees")),
+]
+
+# wrong types, and huge or negative ints
+HOSTILE = st.sampled_from(
+    [None, True, False, 0.5, 2.0, "1", "", {}, {"1": 2}, 0, -1, -(2**63), 2**64, 10**400]
+)
+
+BAD_ORDERS = st.one_of(
+    st.lists(st.integers(-2, 8), max_size=8), st.lists(HOSTILE, max_size=3), HOSTILE
+)
+
+
+def _paths(node, prefix=()):
+    """The key path of every value below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _paths(child, (*prefix, key))
+
+
+@st.composite
+def hostile_documents(draw):
+    document = copy.deepcopy(draw(st.sampled_from(FIXTURES)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["replace", "empty", "nest", "delete", "duplicate", "extra key", "edge_order", "root"]
+        ))
+        if kind == "extra key":
+            document[draw(st.sampled_from(["sigma2", "SIGMA0", "", "edge order"]))] = draw(HOSTILE)
+        elif kind == "edge_order":
+            document["edge_order"] = draw(BAD_ORDERS)
+        elif kind == "root":
+            return [document] if draw(st.booleans()) else draw(HOSTILE)
+        elif paths := list(_paths(document)):
+            *above, key = draw(st.sampled_from(paths))
+            parent = reduce(getitem, above, document)
+            if kind == "replace":
+                parent[key] = draw(HOSTILE)
+            elif kind == "empty":
+                parent[key] = []
+            elif kind == "nest":
+                parent[key] = [parent[key]]
+            elif kind == "delete":
+                del parent[key]
+            else:  # a copy of a sibling, inserted or written over the value
+                siblings = list(parent) if isinstance(parent, dict) else range(len(parent))
+                sibling = copy.deepcopy(parent[draw(st.sampled_from(siblings))])
+                if isinstance(parent, list) and draw(st.booleans()):
+                    parent.insert(key, sibling)
+                else:
+                    parent[key] = sibling
+    return document
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hostile_documents())
+def test_hostile_documents_exit_cleanly_on_every_command(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "hostile.json"
+    path.write_text(json.dumps(document))
+    for command in COMMANDS:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:], "--cap", "12"])
+        message = err.getvalue()
+        assert code in (0, 1, 3), (command, document, message)
+        assert "Traceback" not in message
+        if code:
+            assert message.count("\n") == 1 and message.endswith("\n"), (command, document)

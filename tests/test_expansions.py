@@ -23,7 +23,7 @@ from ribbonpoly import (
     state_sum,
     verify_all,
 )
-from ribbonpoly.generate import (
+from generators import (
     all_one_vertex_graphs,
     random_connected_ribbon_graph,
 )

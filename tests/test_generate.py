@@ -2,7 +2,7 @@ import hashlib
 import random
 from collections import Counter
 
-from ribbonpoly.generate import (
+from generators import (
     all_one_vertex_graphs,
     one_vertex_graphs,
     perfect_matchings,

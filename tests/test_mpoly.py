@@ -171,6 +171,48 @@ def test_json_terms_reject_anything_but_plain_int_fields(entry):
         MPoly.from_json_terms([{"coeff": 1}, entry])
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 0, 0, 0): Fraction(1, 2)},
+        {(0, 0, 0, 0): 2.7},
+        {(0, 0, 0, 0): 2.0},
+        {(1.5, 0, 0, 0): 1},
+        {(2.0, 0, 0, 0): 1},
+        {(0, 0, "1", 0): 1},
+        {(0, -1, 0, 0): 1},
+        {(0, 0, 0): 1},
+    ],
+)
+def test_constructor_rejects_anything_but_int_terms(terms):
+    with pytest.raises(ValueError):
+        MPoly(terms)
+
+
+def test_constructor_rejects_float_exponents_of_a_monomial():
+    with pytest.raises(ValueError):
+        MPoly.monomial(1, x=2.0)
+
+
+def test_constructor_stores_bools_as_plain_ints():
+    p = MPoly({(True, 0, False, 0): True, (0, 0, 0, 0): 3})
+    assert p == X + 3
+    assert p.to_json_terms() == [
+        {"coeff": 1, "x": 1, "y": 0, "z": 0, "t": 0},
+        {"coeff": 3, "x": 0, "y": 0, "z": 0, "t": 0},
+    ]
+    assert all(
+        type(value) is int for entry in p.to_json_terms() for value in entry.values()
+    )
+    assert MPoly({(0, 0, 0, 0): False}) == MPoly.zero()
+
+
+@pytest.mark.parametrize("exponent", [True, False, 2.0, -1])
+def test_power_rejects_anything_but_a_non_negative_int(exponent):
+    with pytest.raises(ValueError):
+        X**exponent
+
+
 @given(polys)
 def test_parse_print_roundtrip(p):
     assert MPoly.parse(str(p)) == p

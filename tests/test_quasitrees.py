@@ -24,14 +24,18 @@ from ribbonpoly import (
     quasi_tree_sum,
     quasi_tree_weight,
 )
-from ribbonpoly.generate import all_one_vertex_graphs, random_connected_ribbon_graph
 from ribbonpoly.quasitrees import _build_quasi_tree, key_weight
 from conftest import GENUS2_POLY, GENUS2_QUASI_TREE_TABLE
+from generators import all_one_vertex_graphs, random_connected_ribbon_graph
 from oracles import (
     completions,
     contains,
     contracted_graph,
     dead_subgraph,
+    interval_size,
+    is_live,
+    live_external,
+    live_internal,
     quasi_trees_by_brute_force,
     resolution_string,
 )
@@ -172,7 +176,7 @@ def test_resolution_of_named_leaf(genus2_graph):
     by_bits = {q.bitstring(): q for q in enumerate_quasi_trees(genus2_graph)}
     q = by_bits["011101"]
     assert resolution_string(q.resolution, q.parent.edge_order) == "****01"
-    assert q.resolution.interval_size() == 16
+    assert interval_size(q.resolution) == 16
     assert contains(q.resolution, q.edges)
 
 
@@ -198,7 +202,7 @@ def test_leaf_unresolved_edges_are_the_live_edges():
         for q in enumerate_quasi_trees(graph):
             activities = classify_activities(q.diagram, q.edges, graph.edge_order)
             assert q.activities == activities
-            live = {e for e, a in enumerate(activities) if a.is_live}
+            live = {e for e, a in enumerate(activities) if is_live(a)}
             assert live == set(q.resolution.unresolved())
 
 
@@ -209,7 +213,7 @@ def test_live_chords_never_cross_lower_live_chords():
         for q in enumerate_quasi_trees(graph):
             for i, j in itertools.combinations(range(graph.edge_count), 2):
                 if q.diagram.chords_intersect(i, j):
-                    assert not q.activities[j].is_live  # i < j in default order
+                    assert not is_live(q.activities[j])  # i < j in default order
 
 
 def test_leaf_intervals_partition_the_subset_lattice():
@@ -217,7 +221,7 @@ def test_leaf_intervals_partition_the_subset_lattice():
     for _ in range(10):
         graph = random_connected_ribbon_graph(rng, rng.randint(1, 7))
         qts = enumerate_quasi_trees(graph)
-        assert sum(q.resolution.interval_size() for q in qts) == 2**graph.edge_count
+        assert sum(interval_size(q.resolution) for q in qts) == 2**graph.edge_count
         seen = set()
         for q in qts:
             for completion in completions(q.resolution):
@@ -235,11 +239,11 @@ def test_single_edge_effects_on_dead_subgraph():
         graph = random_connected_ribbon_graph(rng, rng.randint(1, 7))
         for q in enumerate_quasi_trees(graph):
             dead = dead_subgraph(q)
-            for eid in q.live_external:
+            for eid in live_external(q):
                 grown = graph.subgraph_counts(dead.edges | {eid})
                 assert grown.faces == dead.faces + 1
                 assert grown.components == dead.components
-            for eid in q.live_internal:
+            for eid in live_internal(q):
                 grown = graph.subgraph_counts(dead.edges | {eid})
                 assert grown.faces == dead.faces - 1
 
@@ -260,8 +264,8 @@ def _components(vertex_count, links):
 def _check_split_identities(graph, q):
     dead = dead_subgraph(q)
     contracted = contracted_graph(q)
-    internal = sorted(q.live_internal)
-    external = sorted(q.live_external)
+    internal = sorted(live_internal(q))
+    external = sorted(live_external(q))
     for r in range(len(internal) + 1):
         for part1 in itertools.combinations(internal, r):
             with_internal = graph.subgraph_counts(dead.edges | frozenset(part1))
@@ -330,8 +334,8 @@ def test_one_vertex_weights_degenerate_to_loop_factors():
             dead = dead_subgraph(q)
             assert w.expanded == (
                 MPoly.monomial(1, y=dead.nullity, z=dead.genus)
-                * (ONE + Y) ** len(q.live_external)
-                * (ONE + Y * Z) ** len(q.live_internal)
+                * (ONE + Y) ** len(live_external(q))
+                * (ONE + Y * Z) ** len(live_internal(q))
             )
 
 
