@@ -24,7 +24,10 @@ independent route, so that tests can compare the two:
   :func:`connected_components` build minors from vertex cycles through
   ``build_ribbon_graph``, an oracle for the array splicing of
   :class:`~ribbonpoly.RibbonGraph`; :func:`disjoint_union` does the same
-  for the array concatenation of :func:`~ribbonpoly.disjoint_union`.
+  for the array concatenation of :func:`~ribbonpoly.disjoint_union`;
+* :func:`dual_by_permutations` builds the dual from ``sigma2`` and
+  ``sigma1`` through the validating constructor, an oracle for the array
+  inversion of :meth:`~ribbonpoly.RibbonGraph.dual`.
 
 A few plain functions of the program's objects stand in for members the
 program itself never calls: :func:`identity`, :func:`orbit_of` and
@@ -385,3 +388,8 @@ def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
     pairs = [list(p) for p in a.edges] + [[x + shift, y + shift] for x, y in b.edges]
     order = list(a.edge_order) + [ei + len(a.edges) for ei in b.edge_order]
     return build_ribbon_graph(cycles, pairs, edge_order=order)
+
+
+def dual_by_permutations(graph: RibbonGraph) -> RibbonGraph:
+    """The dual as ``RibbonGraph(sigma2, sigma1)``, inheriting the edge order."""
+    return RibbonGraph(graph.sigma2, graph.sigma1, edge_order=graph.edge_order)

@@ -163,6 +163,46 @@ def test_malformed_document_is_one_line_error(tmp_path, capsys, document):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"sigma0": [[1, 2]], "sigma1": [[1, 1]]},
+         "pair (1, 1) does not join two distinct half-edges"),
+        ({"sigma0": [[1, 2]], "sigma1": [[1, 2, 3]]},
+         "pair (1, 2, 3) does not join two distinct half-edges"),
+        ({"sigma0": [[1, 2, 3, 4]], "sigma1": [[1, 2], [2, 3]]},
+         "half-edge 2 appears in two pairs"),
+        ({"sigma0": [[1, 2]], "sigma1": [[1, 3]]},
+         "pairs must match exactly the labels 1..2, got [1, 3]"),
+        ({"sigma0": [[1, 2], [2, 3]], "sigma1": [[1, 2], [3, 4]]},
+         "half-edge 2 appears in two vertex cycles"),
+        ({"sigma0": [[1, 2], [5]], "sigma1": [[1, 2], [3, 4]]},
+         "vertex cycles must partition 1..4; missing [3, 4], foreign [5]"),
+        ({"sigma0": [[1, 2]], "sigma1": [[1, 2.5]]},
+         "half-edge label 2.5 is not an integer"),
+        ({"sigma0": [[1, 2, 3, 4]], "sigma1": [[1, 2], [3, 4]], "edge_order": [2, 2]},
+         "edge_order [2, 2] is not a permutation of 1..2"),
+    ],
+    ids=[
+        "pair-of-one-label",
+        "pair-of-three-labels",
+        "label-in-two-pairs",
+        "pairs-miss-a-label",
+        "label-in-two-cycles",
+        "cycles-miss-and-add-labels",
+        "non-int-label",
+        "bad-edge-order",
+    ],
+)
+def test_malformed_document_message_and_exit_code(tmp_path, capsys, document, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    assert main(["count", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot load graph: {message}\n"
+
+
 def test_exit_code_size_cap(genus2_file, capsys):
     assert main(["compute", genus2_file, "--method", "statesum", "--cap", "3"]) == 3
     capsys.readouterr()

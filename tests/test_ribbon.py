@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from ribbonpoly import (
     LoopContraction,
     NotInvolution,
     NotPartition,
+    Perm,
+    RibbonGraph,
     build_ribbon_graph,
     disjoint_union,
     graph_from_json,
@@ -17,6 +20,7 @@ from ribbonpoly import (
 )
 from ribbonpoly.ribbon import edge_order_from_numbers
 from generators import (
+    all_one_vertex_graphs,
     one_vertex_graphs,
     random_connected_ribbon_graph,
     random_planar_ribbon_graph,
@@ -316,6 +320,48 @@ def test_disjoint_union_matches_cycle_oracle():
     maps = _random_small_maps(37, 20)
     for a, b in itertools.product(maps[:10], maps[10:]):
         _assert_same_graph(disjoint_union(a, b), oracles.disjoint_union(a, b))
+
+
+# -- cycle data and the permutation route ------------------------------------------
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+
+def _route_graphs():
+    """The census graphs up to five chords, the fixtures and seeded maps, each
+    also under a shuffled edge order."""
+    rng = random.Random(43)
+    fixtures = [
+        graph_from_json(json.loads(path.read_text(encoding="utf-8")))
+        for path in sorted(GRAPHS.glob("*.json"))
+    ]
+    for graph in [*all_one_vertex_graphs(5), *fixtures, *_random_small_maps(41, 40)]:
+        order = list(graph.edge_order)
+        rng.shuffle(order)
+        yield graph
+        yield graph.with_edge_order(order)
+
+
+def test_cycle_data_matches_permutation_route():
+    rng = random.Random(47)
+    for graph in _route_graphs():
+        # the same graph written with its cycles rotated and shuffled and
+        # its pairs swapped and shuffled
+        cycles = [list(c[k:] + c[:k]) for c in graph.vertices for k in [rng.randrange(len(c))]]
+        pairs = [p[::-1] if rng.random() < 0.5 else p for p in graph.edges]
+        rng.shuffle(cycles)
+        rng.shuffle(pairs)
+        default = graph.edge_order == tuple(range(graph.edge_count))
+        order = None if default else list(graph.edge_order)
+        n2 = graph.half_edge_count
+        by_perms = RibbonGraph(Perm.from_cycles(cycles, n2), Perm.from_cycles(pairs, n2), order)
+        _assert_same_graph(build_ribbon_graph(cycles, pairs, order), by_perms)
+        _assert_same_graph(by_perms, graph)
+
+
+def test_dual_matches_permutation_route():
+    for graph in _route_graphs():
+        _assert_same_graph(graph.dual(), oracles.dual_by_permutations(graph))
 
 
 # -- duality ---------------------------------------------------------------------
