@@ -8,13 +8,12 @@ double as the Tutte variables x/y for abstract multigraphs.
 
 The canonical text form sorts terms by descending ``(x, y, z, t)``
 exponent lexicographic order and omits unit coefficients and exponents,
-e.g. ``X^2*Y^2 + 2*X^2*Y + ... + 1``.  ``MPoly.parse`` accepts any term
-order and round-trips the canonical form.
+e.g. ``X^2*Y^2 + 2*X^2*Y + ... + 1``.  It and the JSON term list of
+:meth:`MPoly.to_json_terms` are output forms; the package reads neither.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -252,47 +251,6 @@ class MPoly:
     def __repr__(self) -> str:
         return f"MPoly({self.to_string()})"
 
-    @classmethod
-    def parse(cls, text: str) -> MPoly:
-        """Parse the canonical syntax (any term order, tolerant of spacing)."""
-        stripped = text.strip()
-        if not stripped:
-            raise ValueError("empty polynomial text")
-        if stripped == "0":
-            return cls.zero()
-        terms: dict[ExponentKey, int] = {}
-        # terms alternate with operators, and a leading minus signs the first
-        pieces = re.split(r"([+-])", stripped)
-        signs, chunks = ["+", *pieces[1::2]], pieces[0::2]
-        if stripped.startswith("-"):
-            del signs[0], chunks[0]
-        for sign, chunk in zip(signs, chunks):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ValueError(f"empty term in {text!r}")
-            coeff = -1 if sign == "-" else 1
-            exps = [0, 0, 0, 0]
-            for factor in chunk.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    raise ValueError(f"empty factor in term {chunk!r}")
-                if factor[0].isdigit():
-                    coeff *= int(factor)
-                else:
-                    name, caret, raw_exp = factor.partition("^")
-                    if name not in _VAR_INDEX:
-                        raise ValueError(f"unknown variable {name!r} in {text!r}")
-                    if caret and not raw_exp.isdigit():
-                        raise ValueError(f"exponent of {name} in {text!r} is not a digit string")
-                    exps[_VAR_INDEX[name]] += int(raw_exp) if caret else 1
-            key = tuple(exps)
-            new = terms.get(key, 0) + coeff
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        return cls(terms)
-
     # -- JSON term-list form -----------------------------------------------
 
     def to_json_terms(self) -> list[dict[str, int]]:
@@ -300,24 +258,6 @@ class MPoly:
             {"coeff": coeff, "x": key[0], "y": key[1], "z": key[2], "t": key[3]}
             for key, coeff in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_terms(cls, data: Iterable[Mapping[str, int]]) -> MPoly:
-        """Inverse of :meth:`to_json_terms`: each entry is an object with a
-        ``coeff`` and optional ``x``, ``y``, ``z``, ``t`` exponents, all plain
-        ints; anything else (``bool`` included) raises ValueError."""
-        terms: dict[ExponentKey, int] = {}
-        for entry in data:
-            if not (
-                isinstance(entry, dict)
-                and "coeff" in entry
-                and entry.keys() <= {"coeff", "x", "y", "z", "t"}
-                and all(type(value) is int for value in entry.values())
-            ):
-                raise ValueError(f"term {entry!r} must map coeff and any of x, y, z, t to ints")
-            key = tuple(entry.get(name, 0) for name in ("x", "y", "z", "t"))
-            terms[key] = terms.get(key, 0) + entry["coeff"]
-        return cls(terms)
 
 
 ZERO = MPoly.zero()

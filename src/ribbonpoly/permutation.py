@@ -53,6 +53,8 @@ class Perm:
         return self._images
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self._images):
+            raise ValueError(f"label {i} out of range for {len(self._images)} labels")
         return self._images[i - 1]
 
     def __mul__(self, other: Perm) -> Perm:

@@ -19,11 +19,11 @@ edges.  Other isolated vertices cannot be encoded by permutations.
 A :class:`RibbonGraph` stores only the successor arrays of ``sigma0`` and
 ``sigma1``; :meth:`RibbonGraph._derive` builds every other table, the
 vertices and faces coming from one walk, :meth:`RibbonGraph._boundary_walk`,
-and the permutations are built on access.  Input is validated by
-:func:`build_ribbon_graph`, the ``RibbonGraph`` constructor and
-:meth:`RibbonGraph.with_edge_order` (the order only); minors and components
-(spliced by :meth:`RibbonGraph._splice`) and disjoint unions are valid by
-construction and are not checked again.
+and the permutations are built on access.  Input is checked once, where
+it enters: :func:`build_ribbon_graph` checks cycle and pair data and hands
+the arrays it fills to ``_derive``, the ``RibbonGraph`` constructor checks
+``Perm`` input and :meth:`RibbonGraph.with_edge_order` an order.  Minors,
+components, duals and disjoint unions are valid by construction.
 
 All objects here are immutable after construction and every operation is
 a pure function, so shared graphs are safe to use concurrently.
@@ -31,7 +31,6 @@ a pure function, so shared graphs are safe to use concurrently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from typing import Iterable, NamedTuple, Sequence
@@ -81,8 +80,8 @@ class RibbonGraph:
 
     Only the ``sigma0`` and ``sigma1`` successor arrays and the order are
     stored; :attr:`sigma0`, :attr:`sigma1` and :attr:`sigma2` build a
-    :class:`Perm` on each access.  The constructor validates its input;
-    graphs derived from a valid graph are not validated again.
+    :class:`Perm` on each access.  The constructor validates its input, as
+    :func:`build_ribbon_graph` does; derived graphs are not validated again.
     """
 
     __slots__ = (
@@ -177,14 +176,24 @@ class RibbonGraph:
     def genus(self) -> int:
         return self.counts().genus
 
+    def _half_edge(self, h: int) -> int:
+        if not 1 <= h <= self.half_edge_count:
+            raise ValueError(f"half-edge {h} out of range for {self.half_edge_count} half-edges")
+        return h
+
+    def _edge(self, edge_id: int) -> tuple[int, int]:
+        if not 0 <= edge_id < len(self.edges):
+            raise ValueError(f"edge index {edge_id} out of range for {len(self.edges)} edges")
+        return self.edges[edge_id]
+
     def vertex_of(self, half_edge: int) -> int:
-        return self._vertex_of[half_edge]
+        return self._vertex_of[self._half_edge(half_edge)]
 
     def edge_index_of(self, half_edge: int) -> int:
-        return self._edge_of[half_edge]
+        return self._edge_of[self._half_edge(half_edge)]
 
     def is_loop(self, edge_id: int) -> bool:
-        a, b = self.edges[edge_id]
+        a, b = self._edge(edge_id)
         return self._vertex_of[a] == self._vertex_of[b]
 
     # -- spanning subgraphs --------------------------------------------
@@ -273,13 +282,6 @@ class RibbonGraph:
         member = self._membership(edges)
         return "".join("1" if member[ei] else "0" for ei in self.edge_order)
 
-    def subset_from_bitstring(self, bits: str) -> frozenset[int]:
-        if len(bits) != len(self.edges):
-            raise ValueError(f"bitstring {bits!r} has wrong length for {len(self.edges)} edges")
-        if not set(bits) <= {"0", "1"}:
-            raise ValueError(f"bitstring {bits!r} has a character other than 0 and 1")
-        return frozenset(ei for ei, bit in zip(self.edge_order, bits) if bit == "1")
-
     def with_edge_order(self, order: Sequence[int]) -> RibbonGraph:
         order = _checked_edge_order(order, len(self.edges))
         return object.__new__(RibbonGraph)._derive(self._succ0, self._partner, order)
@@ -313,7 +315,7 @@ class RibbonGraph:
         Vertices left without half-edges disappear (they are not encodable);
         deleting the only loop of the one-vertex graph yields the trivial graph.
         """
-        a, b = self.edges[edge_id]
+        a, b = self._edge(edge_id)
         kept = [h for h in range(1, self.half_edge_count + 1) if h != a and h != b]
         return self._splice(kept, self._succ0)
 
@@ -326,8 +328,8 @@ class RibbonGraph:
         ``sigma0(b)`` around to ``sigma0^-1(b)``.  Preserves genus and
         component count; decrements vertex and edge counts by one.
         """
-        a, b = self.edges[edge_id]
-        if self.is_loop(edge_id):
+        a, b = self._edge(edge_id)
+        if self._vertex_of[a] == self._vertex_of[b]:
             raise LoopContraction(f"edge {edge_id} ({a},{b}) is a loop")
         succ = self._succ0.copy()
         succ[a], succ[b] = succ[b], succ[a]
@@ -343,7 +345,10 @@ class RibbonGraph:
         """
         if not self.is_connected:
             raise Disconnected("dual requires a connected graph")
-        return RibbonGraph(self.sigma2, self.sigma1, edge_order=self.edge_order)
+        succ2 = [0] * (self.half_edge_count + 1)
+        for h, before in enumerate(self._succ2inv):
+            succ2[before] = h
+        return object.__new__(RibbonGraph)._derive(succ2, self._partner, self.edge_order)
 
     def connected_components(self) -> list[RibbonGraph]:
         """Standalone relabeled components, each with the inherited edge order.
@@ -433,36 +438,37 @@ def build_ribbon_graph(
     for label in chain(*pairs, *cycles):
         if type(label) is not int:
             raise ValueError(f"half-edge label {label!r} is not an integer")
-    seen_pair_labels: set[int] = set()
+    partner: dict[int, int] = {}
     for p in pairs:
         if len(p) != 2 or p[0] == p[1]:
             raise NotInvolution(f"pair {p!r} does not join two distinct half-edges")
-        for label in p:
-            if label in seen_pair_labels:
+        for label, other in (p, p[::-1]):
+            if label in partner:
                 raise NotInvolution(f"half-edge {label} appears in two pairs")
-            seen_pair_labels.add(label)
+            partner[label] = other
     n2 = 2 * len(pairs)
-    if seen_pair_labels and seen_pair_labels != set(range(1, n2 + 1)):
-        raise NotInvolution(
-            f"pairs must match exactly the labels 1..{n2}, got {sorted(seen_pair_labels)}"
-        )
+    labels = set(range(1, n2 + 1))
+    if partner.keys() != labels:
+        raise NotInvolution(f"pairs must match exactly the labels 1..{n2}, got {sorted(partner)}")
 
-    seen_cycle_labels: set[int] = set()
+    succ0: dict[int, int] = {}
     for cycle in cycles:
-        for label in cycle:
-            if label in seen_cycle_labels:
+        for pos, label in enumerate(cycle):
+            if label in succ0:
                 raise NotPartition(f"half-edge {label} appears in two vertex cycles")
-            seen_cycle_labels.add(label)
-    if seen_cycle_labels != set(range(1, n2 + 1)):
-        missing = sorted(set(range(1, n2 + 1)) - seen_cycle_labels)
-        extra = sorted(seen_cycle_labels - set(range(1, n2 + 1)))
+            succ0[label] = cycle[(pos + 1) % len(cycle)]
+    if succ0.keys() != labels:
+        missing = sorted(labels - succ0.keys())
+        extra = sorted(succ0.keys() - labels)
         raise NotPartition(
             f"vertex cycles must partition 1..{n2}; missing {missing}, foreign {extra}"
         )
 
-    sigma0 = Perm.from_cycles(cycles, n2)
-    sigma1 = Perm.from_cycles(pairs, n2)
-    return RibbonGraph(sigma0, sigma1, edge_order=edge_order)
+    order = None if edge_order is None else _checked_edge_order(edge_order, len(pairs))
+    halves = range(1, n2 + 1)
+    return object.__new__(RibbonGraph)._derive(
+        [0, *map(succ0.get, halves)], [0, *map(partner.get, halves)], order
+    )
 
 
 def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
@@ -477,8 +483,8 @@ def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
     )
 
 
-def graph_from_json(data: str | dict) -> RibbonGraph:
-    """Parse the on-disk graph format.
+def graph_from_json(data: dict) -> RibbonGraph:
+    """Build a graph from a parsed document of the on-disk graph format.
 
     The document carries ``sigma0`` (list of cycles), ``sigma1`` (list of
     two-element lists) and optionally ``edge_order``, a list of 1-based edge
@@ -486,8 +492,6 @@ def graph_from_json(data: str | dict) -> RibbonGraph:
     Every label and edge number must be a plain integer (JSON ``true`` and
     ``false`` are not); a document of any other shape raises ValueError.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("graph document must be a JSON object")
     try:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from ribbonpoly import MPoly, build_ribbon_graph
+from ribbonpoly import build_ribbon_graph
+from oracles import parse_poly
 
 
 @pytest.fixture
@@ -53,13 +54,13 @@ def bridge_graph():
     return build_ribbon_graph([[1], [2]], [[1, 2]])
 
 
-GENUS2_POLY = MPoly.parse(
+GENUS2_POLY = parse_poly(
     "Y^4*Z^2 + 2*X*Y^3*Z + 4*Y^3*Z + X^2*Y^2 + 3*X*Y^2 + 3*X*Y^2*Z + 4*Y^2*Z"
     " + 2*Y^2 + 2*X^2*Y + 6*X*Y + 4*Y + X^2 + 2*X + 1"
 )
 
 # frozen from exhaustive enumeration of the 8 spanning subgraphs
-TORUS_THETA_POLY = MPoly.parse("X*Y + X + Y^2*Z + 2*Y + 1")
+TORUS_THETA_POLY = parse_poly("X*Y + X + Y^2*Z + 2*Y + 1")
 
 # rows: bitstring, boundary cycle, activity, (g, n(D), g(D), |E|), expanded weight
 GENUS2_QUASI_TREE_TABLE = [

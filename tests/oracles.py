@@ -33,11 +33,15 @@ A few plain functions of the program's objects stand in for members the
 program itself never calls: :func:`identity`, :func:`orbit_of` and
 :func:`orbit_count` of a :class:`~ribbonpoly.Perm`, :func:`interval_size`
 of a partial resolution, :func:`is_live` of an activity, and
-:func:`live_internal` and :func:`live_external` of a quasi-tree.
+:func:`live_internal` and :func:`live_external` of a quasi-tree.  Two
+readers the program has no input for live here too: :func:`parse_poly`
+reads the canonical text of an :class:`~ribbonpoly.MPoly` and
+:func:`subset_from_bitstring` reads an edge subset from its bitstring.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -58,6 +62,7 @@ from ribbonpoly import (
     build_ribbon_graph,
 )
 from ribbonpoly.expansions import _subgraph_sum
+from ribbonpoly.mpoly import _VAR_INDEX, ExponentKey
 
 # -- plain functions of the program's objects -----------------------------------
 
@@ -97,6 +102,55 @@ def live_internal(q: QuasiTree) -> frozenset[int]:
 def live_external(q: QuasiTree) -> frozenset[int]:
     """The leaf's unresolved edges outside its quasi-tree."""
     return frozenset(q.resolution.unresolved()).difference(q.edges)
+
+
+def parse_poly(text: str) -> MPoly:
+    """Parse the canonical syntax (any term order, tolerant of spacing)."""
+    stripped = text.strip()
+    if not stripped:
+        raise ValueError("empty polynomial text")
+    if stripped == "0":
+        return MPoly.zero()
+    terms: dict[ExponentKey, int] = {}
+    # terms alternate with operators, and a leading minus signs the first
+    pieces = re.split(r"([+-])", stripped)
+    signs, chunks = ["+", *pieces[1::2]], pieces[0::2]
+    if stripped.startswith("-"):
+        del signs[0], chunks[0]
+    for sign, chunk in zip(signs, chunks):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError(f"empty term in {text!r}")
+        coeff = -1 if sign == "-" else 1
+        exps = [0, 0, 0, 0]
+        for factor in chunk.split("*"):
+            factor = factor.strip()
+            if not factor:
+                raise ValueError(f"empty factor in term {chunk!r}")
+            if factor[0].isdigit():
+                coeff *= int(factor)
+            else:
+                name, caret, raw_exp = factor.partition("^")
+                if name not in _VAR_INDEX:
+                    raise ValueError(f"unknown variable {name!r} in {text!r}")
+                if caret and not raw_exp.isdigit():
+                    raise ValueError(f"exponent of {name} in {text!r} is not a digit string")
+                exps[_VAR_INDEX[name]] += int(raw_exp) if caret else 1
+        key = tuple(exps)
+        new = terms.get(key, 0) + coeff
+        if new:
+            terms[key] = new
+        else:
+            terms.pop(key, None)
+    return MPoly(terms)
+
+
+def subset_from_bitstring(graph: RibbonGraph, bits: str) -> frozenset[int]:
+    if len(bits) != len(graph.edges):
+        raise ValueError(f"bitstring {bits!r} has wrong length for {len(graph.edges)} edges")
+    if not set(bits) <= {"0", "1"}:
+        raise ValueError(f"bitstring {bits!r} has a character other than 0 and 1")
+    return frozenset(ei for ei, bit in zip(graph.edge_order, bits) if bit == "1")
 
 
 # -- standalone restriction of a spanning subgraph ------------------------------

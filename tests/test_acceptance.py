@@ -48,7 +48,9 @@ from oracles import (
     dead_subgraph,
     live_external,
     live_internal,
+    parse_poly,
     quasi_trees_by_brute_force,
+    subset_from_bitstring,
 )
 
 
@@ -86,7 +88,7 @@ def test_criterion_02_quasi_tree_table(genus2_graph):
         assert q.activity_string() == activity, bits
         w = quasi_tree_weight(q)
         assert (q.genus, w.nullity_dead, w.genus_dead, w.external_live_count) == numbers
-        assert w.expanded == MPoly.parse(weight_text), bits
+        assert w.expanded == parse_poly(weight_text), bits
         assert q.diagram.cycle == cycle, bits
     # the printed source row for 001010 ends in a second 5; the computed
     # cycle must differ from it exactly in that final entry
@@ -113,14 +115,14 @@ def test_criterion_04_spanning_tree_table(genus2_graph):
     for bits, activity, inner_text, x_power in GENUS2_SPANNING_TREE_TABLE:
         row = rows[bits]
         assert row.activity == activity, bits
-        assert row.inner_weight == MPoly.parse(inner_text), bits
+        assert row.inner_weight == parse_poly(inner_text), bits
         assert row.internal_count == x_power, bits
     assert spanning_tree_expansion(genus2_graph).polynomial == GENUS2_POLY
     _pass(4, "4 spanning trees with matching activities, inner weights and X factors")
 
 
 def test_criterion_05_activities_change_with_edge_order(genus2_graph):
-    full = genus2_graph.subset_from_bitstring("111111")
+    full = subset_from_bitstring(genus2_graph, "111111")
     diagram = chord_diagram(genus2_graph, full)
     default_order = list(range(6))
     swapped_order = [3, 1, 2, 0, 4, 5]  # first and fourth edges exchanged

@@ -26,7 +26,9 @@ from generators import (
     random_planar_ribbon_graph,
 )
 import oracles
-from oracles import orbit_count, orbit_of, restrict
+from oracles import orbit_count, orbit_of, restrict, subset_from_bitstring
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def all_subsets(graph):
@@ -126,7 +128,7 @@ def test_boundary_full_subgraph(genus2_graph):
 
 
 def test_boundary_named_subgraph(genus2_graph):
-    subset = genus2_graph.subset_from_bitstring("011101")
+    subset = subset_from_bitstring(genus2_graph, "011101")
     assert genus2_graph.boundary_components(subset) == [
         (1, 3, 12, 10, 4, 2, 5, 11, 8, 9, 7, 6)
     ]
@@ -144,7 +146,7 @@ def test_restrict_examples(genus2_graph):
     assert empty.isolated_vertices == 3
     assert empty.face_count == 3
 
-    quasi = restrict(genus2_graph, genus2_graph.subset_from_bitstring("001010"))
+    quasi = restrict(genus2_graph, subset_from_bitstring(genus2_graph, "001010"))
     assert quasi.isolated_vertices == 0
     assert quasi.face_count == 1
 
@@ -322,9 +324,7 @@ def test_disjoint_union_matches_cycle_oracle():
         _assert_same_graph(disjoint_union(a, b), oracles.disjoint_union(a, b))
 
 
-# -- cycle data and the permutation route ------------------------------------------
-
-GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+# -- cycle data and the permutation route ---------------------------------------
 
 
 def _route_graphs():
@@ -407,7 +407,7 @@ def test_components_of_disjoint_union(one_loop, torus_theta):
 
 
 def test_bitstring_roundtrip(genus2_graph):
-    subset = genus2_graph.subset_from_bitstring("011101")
+    subset = subset_from_bitstring(genus2_graph, "011101")
     assert subset == frozenset({1, 2, 3, 5})
     assert genus2_graph.bitstring(subset) == "011101"
     swapped = genus2_graph.with_edge_order((3, 1, 2, 0, 4, 5))
@@ -426,13 +426,49 @@ def test_bitstring_roundtrip(genus2_graph):
             "bitstring",
         )
         for index in (-1, 6)
-    ]
-    + [("subset_from_bitstring", "11111x"), ("subset_from_bitstring", "1111 1")],
+    ],
 )
 def test_bad_edge_subset_raises(genus2_graph, query, argument):
-    # unchecked, -1 would index the last edge and "x" would read as "0"
+    # unchecked, -1 would index the last edge
     with pytest.raises(ValueError):
         getattr(genus2_graph, query)(argument)
+
+
+@pytest.mark.parametrize("bits", ["11111x", "1111 1"])
+def test_bad_bitstring_raises(genus2_graph, bits):
+    # unchecked, "x" would read as "0"
+    with pytest.raises(ValueError):
+        subset_from_bitstring(genus2_graph, bits)
+
+
+TORUS_THETA = graph_from_json(json.loads((GRAPHS / "torus_theta.json").read_text(encoding="utf-8")))
+OUT_OF_RANGE = (
+    [
+        (TORUS_THETA, query, index, f"edge index {index} out of range for 3 edges")
+        for query in ("delete_edge", "contract_edge", "is_loop")
+        for index in (-1, 3)
+    ]
+    + [
+        (TORUS_THETA, query, index, f"half-edge {index} out of range for 6 half-edges")
+        for query in ("vertex_of", "edge_index_of")
+        for index in (-1, 0, 7)
+    ]
+    + [
+        (Perm((2, 1, 3)), "__call__", index, f"label {index} out of range for 3 labels")
+        for index in (-1, 0, 4)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "target, query, index, message",
+    OUT_OF_RANGE,
+    ids=[f"{type(target).__name__}.{query}({index})" for target, query, index, _ in OUT_OF_RANGE],
+)
+def test_index_outside_the_domain_raises(target, query, index, message):
+    # unchecked, -1 would wrap round to the last edge, half-edge or label
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(target, query)(index)
 
 
 def test_edge_order_override_validation(genus2_graph):
@@ -458,7 +494,6 @@ def test_edge_numbers_must_be_plain_ints(numbers):
 def test_json_roundtrip(genus2_graph):
     doc = graph_to_json_dict(genus2_graph)
     assert graph_from_json(doc) == genus2_graph
-    assert graph_from_json(json.dumps(doc)) == genus2_graph
     reordered = genus2_graph.with_edge_order([3, 1, 2, 0, 4, 5])
     doc2 = graph_to_json_dict(reordered)
     assert doc2["edge_order"] == [4, 2, 3, 1, 5, 6]
@@ -468,8 +503,10 @@ def test_json_roundtrip(genus2_graph):
 def test_json_rejects_bad_documents():
     with pytest.raises(ValueError):
         graph_from_json({"sigma0": [[1, 2]]})
-    with pytest.raises(ValueError):
-        graph_from_json("[1, 2]")
+    # a document is parsed before it is read, so text is not a document
+    for text in ("[1, 2]", json.dumps(graph_to_json_dict(build_ribbon_graph([[1, 2]], [[1, 2]])))):
+        with pytest.raises(ValueError, match="graph document must be a JSON object"):
+            graph_from_json(text)
 
 
 def test_inherited_edge_order_after_delete(genus2_graph):
