@@ -16,6 +16,10 @@ independent route, so that tests can compare the two:
   subgraph and contracted multigraph, and :func:`weight_by_subgraphs`
   takes a leaf's weight from them, an oracle for
   :func:`~ribbonpoly.quasi_tree_weight`;
+* :func:`spanning_trees_by_combinations` tests every set of v - 1
+  non-loop edges for a spanning tree and reads each tree's activities
+  from its cuts and tree paths, an oracle for the Tutte recursion of
+  :meth:`~ribbonpoly.MultiGraph.spanning_trees_with_activities`;
 * :func:`tutte_by_subgraph_sum` is the defining sum of the Tutte
   polynomial, an oracle for deletion/contraction;
 * :func:`interval_state_sum` is the state sum restricted to the interval
@@ -48,6 +52,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ribbonpoly import (
     Activity,
+    Disconnected,
     MPoly,
     MultiGraph,
     ONE,
@@ -56,6 +61,7 @@ from ribbonpoly import (
     QuasiTree,
     RibbonGraph,
     SpanningSubgraph,
+    SpanningTreeActivities,
     X,
     Y,
     Z,
@@ -63,6 +69,7 @@ from ribbonpoly import (
 )
 from ribbonpoly.expansions import _subgraph_sum
 from ribbonpoly.mpoly import _VAR_INDEX, ExponentKey
+from ribbonpoly.multigraph import _union_find
 
 # -- plain functions of the program's objects -----------------------------------
 
@@ -325,6 +332,73 @@ def weight_by_subgraphs(q: QuasiTree) -> tuple[int, int, int, MPoly, MPoly]:
         MPoly.monomial(1, y=dead.nullity, z=dead.genus) * (ONE + Y) ** external_live * tutte
     )
     return dead.nullity, dead.genus, external_live, tutte, expanded
+
+
+# -- spanning trees ---------------------------------------------------------------
+
+
+def spanning_trees_by_combinations(
+    graph: MultiGraph, order: Sequence[int] | None = None
+) -> list[SpanningTreeActivities]:
+    """Every spanning tree with its activities: each set of v - 1 non-loop
+    edges is tested with a union-find, then each tree edge's cut and each
+    non-tree edge's tree path is read with one union-find of its own."""
+    if not graph.is_connected:
+        raise Disconnected("spanning trees require a connected multigraph")
+    rank = graph._rank_of(order)
+    non_loops = [e for e in graph.edges if e[0] != e[1]]
+    trees = []
+    vertices = range(graph.vertex_count)
+    for combo in combinations(non_loops, graph.vertex_count - 1):
+        if _union_find(graph.vertex_count, ((u, v) for u, v, _ in combo), vertices)[0] == 1:
+            trees.append(combo)
+    out = []
+    for combo in trees:
+        tree_ids = frozenset(eid for _, _, eid in combo)
+        out.append(
+            SpanningTreeActivities(
+                tree_ids,
+                _internally_active(graph, combo, rank),
+                _externally_active(graph, combo, tree_ids, rank),
+            )
+        )
+    return out
+
+
+def _internally_active(
+    graph: MultiGraph, tree: Sequence[tuple[int, int, int]], rank: dict[int, int]
+) -> frozenset[int]:
+    """Tree edges t such that every edge ordered below t has both ends
+    in one class of T - t, so t is the lowest edge of its cut."""
+    vertices = range(graph.vertex_count)
+    active = set()
+    for _, _, t in tree:
+        rest = ((u, v) for u, v, eid in tree if eid != t)
+        _, find = _union_find(graph.vertex_count, rest, vertices)
+        if all(find(u) == find(v) for u, v, eid in graph.edges if rank[eid] < rank[t]):
+            active.add(t)
+    return frozenset(active)
+
+
+def _externally_active(
+    graph: MultiGraph,
+    tree: Sequence[tuple[int, int, int]],
+    tree_ids: frozenset[int],
+    rank: dict[int, int],
+) -> frozenset[int]:
+    """Non-tree edges e whose endpoints the tree edges ordered above e
+    join, so no edge of e's tree path is ordered below e (a loop's path
+    is empty)."""
+    vertices = range(graph.vertex_count)
+    active = set()
+    for u, v, e in graph.edges:
+        if e in tree_ids:
+            continue
+        above = ((a, b) for a, b, t in tree if rank[t] > rank[e])
+        _, find = _union_find(graph.vertex_count, above, vertices)
+        if find(u) == find(v):
+            active.add(e)
+    return frozenset(active)
 
 
 # -- subgraph sums ----------------------------------------------------------------

@@ -1,10 +1,12 @@
 """A census of small graphs through every method and the resolution tree.
 
 Every one-vertex graph with at most five chords, and 200 seeded maps with
-two to four vertices under shuffled edge orders, must pass ``verify_all``;
-the leaves of the resolution tree must be exactly the one-face spanning
-subgraphs, and each leaf's quasi-tree must be the one the completion rule
-of :func:`oracles.completion_by_gamma` picks from its interval.  Each
+two to four vertices under shuffled edge orders, must pass ``verify_all``
+and give the spanning trees and activities of
+:func:`oracles.spanning_trees_by_combinations`; the leaves of the
+resolution tree must be exactly the one-face spanning subgraphs, and each
+leaf's quasi-tree must be the one the completion rule of
+:func:`oracles.completion_by_gamma` picks from its interval.  Each
 leaf's activities must be the chord-crossing classification of
 :func:`ribbonpoly.classify_activities`.  The genus histogram of the leaves
 must equal the genus-counting specialisation of the polynomial.  Each
@@ -40,6 +42,7 @@ from oracles import (
     completion_by_gamma,
     contracted_graph,
     quasi_trees_by_brute_force,
+    spanning_trees_by_combinations,
     weight_by_subgraphs,
 )
 
@@ -51,6 +54,10 @@ def check(graph):
     assert genus_counting_series(polynomial) == MPoly(by_genus)
     assert {q.edges for q in leaves} == quasi_trees_by_brute_force(graph)
     assert len(leaves) == len({q.edges for q in leaves})
+    multigraph = graph.underlying_multigraph()
+    trees = multigraph.spanning_trees_with_activities(graph.edge_order)
+    assert len(set(trees)) == len(trees)
+    assert set(trees) == set(spanning_trees_by_combinations(multigraph, graph.edge_order))
     total = MPoly.zero()
     for q in leaves:
         assert q.edges == completion_by_gamma(graph, q.resolution), q.resolution

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ribbonpoly import Disconnected, MPoly, MultiGraph, ONE, X, Y, Z
-from oracles import tutte_by_subgraph_sum
+from oracles import spanning_trees_by_combinations, tutte_by_subgraph_sum
 
 
 def test_single_loop_is_y():
@@ -119,6 +119,30 @@ def test_activity_sum_reproduces_tutte():
             assert total == g.tutte_polynomial()
             assert g.tutte_polynomial().evaluate(x=1, y=1) == len(trees)
         checked += 1
+
+
+def _random_connected_multigraph(rng):
+    """1 to 6 vertices and up to 9 edges, loops and parallel edges
+    included: a random spanning tree first, then random extra edges, with
+    the edge ids shuffled over both."""
+    v = rng.randint(1, 6)
+    e = rng.randint(v - 1, 9)
+    labels = rng.sample(range(v), v)
+    ends = [(labels[i], labels[rng.randrange(i)]) for i in range(1, v)]
+    ends += [(rng.randrange(v), rng.randrange(v)) for _ in range(e - v + 1)]
+    ids = rng.sample(range(e), e)
+    return MultiGraph(v, tuple((a, b, eid) for (a, b), eid in zip(ends, ids)))
+
+
+def test_spanning_trees_match_the_combinations_oracle():
+    rng = random.Random(1954)
+    for _ in range(1000):
+        g = _random_connected_multigraph(rng)
+        ids = [eid for _, _, eid in g.edges]
+        for order in (None, rng.sample(ids, len(ids))):
+            trees = g.spanning_trees_with_activities(order)
+            assert len(set(trees)) == len(trees), (g, order)
+            assert set(trees) == set(spanning_trees_by_combinations(g, order)), (g, order)
 
 
 def test_spanning_trees_require_connected():
