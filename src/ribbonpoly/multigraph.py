@@ -2,19 +2,19 @@
 
 These serve two roles: the underlying graph of a ribbon graph, and the
 contracted graph attached to a quasi-tree (components of its internally
-dead subgraph joined by the internally live edges).  The module computes
-the two-variable Tutte polynomial by deletion/contraction (stored in the
-X and Y slots of :class:`~ribbonpoly.mpoly.MPoly`) and all spanning trees
-with Tutte's internal/external activities.  It also holds the package's
-one union-find, which the ribbon-graph and quasi-tree code share; the
-activities read cuts and tree paths from it as well.
+dead subgraph joined by the internally live edges).  One deletion/contraction
+recursion gives both the two-variable Tutte polynomial (stored in the X
+and Y slots of :class:`~ribbonpoly.mpoly.MPoly`) and all spanning trees
+with Tutte's internal/external activities: its leaves are the spanning
+trees, and the activities are read from how each edge was resolved on
+the way to a leaf.  The module also holds the package's one union-find,
+which the recursion, the ribbon-graph and the quasi-tree code share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Disconnected
 from .mpoly import MPoly
@@ -119,37 +119,37 @@ class MultiGraph:
                 raise ValueError(f"order {order!r} is not a permutation of the edge ids")
         return {eid: pos for pos, eid in enumerate(order)}
 
-    # -- Tutte polynomial ----------------------------------------------
+    # -- Tutte's recursion ---------------------------------------------
 
-    def tutte_polynomial(self) -> MPoly:
-        """Tutte polynomial via deletion/contraction, in the X/Y slots.
+    def _tutte_leaves(
+        self, rank: Callable[[Edge], int]
+    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]]:
+        """Tutte's deletion/contraction recursion, one ``(active, inactive,
+        forest, loops)`` of edge ids per leaf.
 
-        Runs on an explicit stack of (vertex count, edges, bridges), so the
-        depth of Python's stack does not grow with the graph.  A node whose
-        non-loop edges form a forest (their count is the vertex count minus
-        the component count) contributes x^(bridges + forest) * y^loops.
-        Any other node contracts its non-loop edge with the highest id, with
-        one more bridge if one union-find finds it is a bridge, and adds its
-        deletion if not.  The result does not depend on which edge is the
-        pivot, so no edge order is taken.  Disconnected graphs give the
-        product over their components (isolated vertices contribute the
-        empty product 1).
+        Runs on an explicit stack, so the depth of Python's stack does not
+        grow with the graph.  A node resolves the non-loop edge of highest
+        ``rank``: a bridge is contracted and is internally active; any other
+        edge is both deleted (externally inactive) and contracted
+        (internally inactive).  Deleting or contracting other edges keeps
+        loops loops and bridges bridges, so a node whose non-loop edges form
+        a forest is a leaf: its forest edges are internally active and its
+        loops externally active.  ``active`` and ``inactive`` are the edges
+        contracted on the way to the leaf.  On a connected graph each leaf
+        is one spanning tree with its activities (Tutte, 1954).
         """
-        # forest leaves tallied by their (X, Y, Z, t) exponents
-        tally: dict[tuple[int, int, int, int], int] = {}
-        stack = [(self.vertex_count, self.edges, 0)]
+        stack = [(self.vertex_count, self.edges, (), ())]
         while stack:
-            vertex_count, edges, bridges = stack.pop()
+            vertex_count, edges, active, inactive = stack.pop()
             non_loops = [e for e in edges if e[0] != e[1]]
-            loops = len(edges) - len(non_loops)
             vertices = range(vertex_count)
             links = ((u, v) for u, v, _ in non_loops)
             components = _union_find(vertex_count, links, vertices)[0]
             if len(non_loops) == vertex_count - components:  # the non-loop edges form a forest
-                key = (bridges + len(non_loops), loops, 0, 0)
-                tally[key] = tally.get(key, 0) + 1
+                loops = [eid for u, v, eid in edges if u == v]
+                yield active, inactive, [eid for _, _, eid in non_loops], loops
                 continue
-            pivot = max(non_loops, key=lambda e: e[2])
+            pivot = max(non_loops, key=rank)
             deleted = tuple(e for e in edges if e[2] != pivot[2])
             u0, v0 = pivot[0], pivot[1]
             merged = tuple(
@@ -158,18 +158,32 @@ class MultiGraph:
             contracted = _drop_vertex(merged, v0)
             rest = ((u, v) for u, v, _ in deleted if u != v)
             if _union_find(vertex_count, rest, vertices)[0] > components:  # a bridge
-                stack.append((vertex_count - 1, contracted, bridges + 1))
+                stack.append((vertex_count - 1, contracted, (*active, pivot[2]), inactive))
             else:
-                stack.append((vertex_count - 1, contracted, bridges))
-                stack.append((vertex_count, deleted, bridges))
-        return MPoly(tally)
+                stack.append((vertex_count - 1, contracted, active, (*inactive, pivot[2])))
+                stack.append((vertex_count, deleted, active, inactive))
 
-    # -- spanning trees and activities ------------------------------------
+    def tutte_polynomial(self) -> MPoly:
+        """Tutte polynomial by Tutte's recursion, in the X/Y slots.
+
+        Pivots on the highest edge id.  Each leaf contributes
+        x^(contracted bridges + forest edges) * y^loops.  The result does
+        not depend on which edge is the pivot, so no edge order is taken.
+        Disconnected graphs give the product over their components
+        (isolated vertices contribute the empty product 1).
+        """
+        # forest leaves tallied by their (X, Y, Z, t) exponents
+        tally: dict[tuple[int, int, int, int], int] = {}
+        for active, _, forest, loops in self._tutte_leaves(lambda e: e[2]):
+            key = (len(active) + len(forest), len(loops), 0, 0)
+            tally[key] = tally.get(key, 0) + 1
+        return MPoly(tally)
 
     def spanning_trees_with_activities(
         self, order: Sequence[int] | None = None
     ) -> list[SpanningTreeActivities]:
-        """All spanning trees, each with its Tutte-active edge sets.
+        """All spanning trees, each with its Tutte-active edge sets under
+        ``order`` (default: by edge id), one per leaf of Tutte's recursion.
 
         The sum of x^(internal count) * y^(external count) over the result
         reproduces the Tutte polynomial.
@@ -177,52 +191,14 @@ class MultiGraph:
         if not self.is_connected:
             raise Disconnected("spanning trees require a connected multigraph")
         rank = self._rank_of(order)
-        non_loops = [e for e in self.edges if e[0] != e[1]]
-        trees = []
-        vertices = range(self.vertex_count)
-        for combo in combinations(non_loops, self.vertex_count - 1):
-            if _union_find(self.vertex_count, ((u, v) for u, v, _ in combo), vertices)[0] == 1:
-                trees.append(combo)
-        out = []
-        for combo in trees:
-            tree_ids = frozenset(eid for _, _, eid in combo)
-            out.append(
-                SpanningTreeActivities(
-                    tree_ids,
-                    self._internally_active(combo, rank),
-                    self._externally_active(combo, tree_ids, rank),
-                )
+        return [
+            SpanningTreeActivities(
+                frozenset((*active, *inactive, *forest)),
+                frozenset((*active, *forest)),
+                frozenset(loops),
             )
-        return out
-
-    def _internally_active(self, tree: Sequence[Edge], rank: dict[int, int]) -> frozenset[int]:
-        """Tree edges t such that every edge ordered below t has both ends
-        in one class of T - t, so t is the lowest edge of its cut."""
-        vertices = range(self.vertex_count)
-        active = set()
-        for _, _, t in tree:
-            rest = ((u, v) for u, v, eid in tree if eid != t)
-            _, find = _union_find(self.vertex_count, rest, vertices)
-            if all(find(u) == find(v) for u, v, eid in self.edges if rank[eid] < rank[t]):
-                active.add(t)
-        return frozenset(active)
-
-    def _externally_active(
-        self, tree: Sequence[Edge], tree_ids: frozenset[int], rank: dict[int, int]
-    ) -> frozenset[int]:
-        """Non-tree edges e whose endpoints the tree edges ordered above e
-        join, so no edge of e's tree path is ordered below e (a loop's path
-        is empty)."""
-        vertices = range(self.vertex_count)
-        active = set()
-        for u, v, e in self.edges:
-            if e in tree_ids:
-                continue
-            above = ((a, b) for a, b, t in tree if rank[t] > rank[e])
-            _, find = _union_find(self.vertex_count, above, vertices)
-            if find(u) == find(v):
-                active.add(e)
-        return frozenset(active)
+            for active, inactive, forest, loops in self._tutte_leaves(lambda e: rank[e[2]])
+        ]
 
 
 def _drop_vertex(edges: tuple[Edge, ...], gone: int) -> tuple[Edge, ...]:

@@ -177,12 +177,12 @@ class RibbonGraph:
         return self.counts().genus
 
     def _half_edge(self, h: int) -> int:
-        if not 1 <= h <= self.half_edge_count:
+        if type(h) is not int or not 1 <= h <= self.half_edge_count:
             raise ValueError(f"half-edge {h} out of range for {self.half_edge_count} half-edges")
         return h
 
     def _edge(self, edge_id: int) -> tuple[int, int]:
-        if not 0 <= edge_id < len(self.edges):
+        if type(edge_id) is not int or not 0 <= edge_id < len(self.edges):
             raise ValueError(f"edge index {edge_id} out of range for {len(self.edges)} edges")
         return self.edges[edge_id]
 
@@ -203,7 +203,7 @@ class RibbonGraph:
         count = len(self.edges)
         member = [False] * count
         for ei in edges:
-            if not 0 <= ei < count:
+            if type(ei) is not int or not 0 <= ei < count:
                 raise ValueError(f"edge index {ei} out of range for {count} edges")
             member[ei] = True
         return member

@@ -69,7 +69,7 @@ from ribbonpoly import (
 )
 from ribbonpoly.expansions import _subgraph_sum
 from ribbonpoly.mpoly import _VAR_INDEX, ExponentKey
-from ribbonpoly.multigraph import _union_find
+from ribbonpoly.multigraph import Edge, _union_find
 
 # -- plain functions of the program's objects -----------------------------------
 
@@ -366,7 +366,7 @@ def spanning_trees_by_combinations(
 
 
 def _internally_active(
-    graph: MultiGraph, tree: Sequence[tuple[int, int, int]], rank: dict[int, int]
+    graph: MultiGraph, tree: Sequence[Edge], rank: dict[int, int]
 ) -> frozenset[int]:
     """Tree edges t such that every edge ordered below t has both ends
     in one class of T - t, so t is the lowest edge of its cut."""
@@ -381,10 +381,7 @@ def _internally_active(
 
 
 def _externally_active(
-    graph: MultiGraph,
-    tree: Sequence[tuple[int, int, int]],
-    tree_ids: frozenset[int],
-    rank: dict[int, int],
+    graph: MultiGraph, tree: Sequence[Edge], tree_ids: frozenset[int], rank: dict[int, int]
 ) -> frozenset[int]:
     """Non-tree edges e whose endpoints the tree edges ordered above e
     join, so no edge of e's tree path is ordered below e (a loop's path

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from ribbonpoly import Disconnected, MPoly, MultiGraph, ONE, X, Y, Z
+from ribbonpoly import (
+    Disconnected,
+    MPoly,
+    MultiGraph,
+    ONE,
+    SpanningTreeActivities,
+    X,
+    Y,
+    Z,
+)
 from oracles import spanning_trees_by_combinations, tutte_by_subgraph_sum
 
 
@@ -92,6 +101,21 @@ def test_worked_graph_spanning_trees(genus2_graph):
     assert t.externally_active == frozenset({0, 1, 3, 5})
 
 
+def test_four_cycle_spanning_trees_under_a_reordering():
+    # in a cycle the cut of a tree edge is itself and the one edge left
+    # out, and the left-out edge closes the whole cycle; with edge 2 lowest
+    # and edge 1 highest, each tree edge ordered below the left-out edge is
+    # internally active, and only edge 2 can be externally active
+    g = MultiGraph(4, ((0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 0, 3)))
+    trees = g.spanning_trees_with_activities([2, 0, 3, 1])
+    assert sorted(trees, key=lambda t: sorted(t.edges)) == [
+        SpanningTreeActivities(frozenset({0, 1, 2}), frozenset({0, 2}), frozenset()),
+        SpanningTreeActivities(frozenset({0, 1, 3}), frozenset(), frozenset({2})),
+        SpanningTreeActivities(frozenset({0, 2, 3}), frozenset({0, 2, 3}), frozenset()),
+        SpanningTreeActivities(frozenset({1, 2, 3}), frozenset({2}), frozenset()),
+    ]
+
+
 def test_one_vertex_unique_empty_tree():
     g = MultiGraph(1, ((0, 0, 0), (0, 0, 1), (0, 0, 2)))
     trees = g.spanning_trees_with_activities()
@@ -110,14 +134,19 @@ def test_activity_sum_reproduces_tutte():
             continue
         ids = [eid for _, _, eid in g.edges]
         shuffled = order_rng.sample(ids, len(ids))
+        # both sides come from one recursion, so each is also held to a
+        # route of its own
+        tutte = tutte_by_subgraph_sum(g)
+        assert g.tutte_polynomial() == tutte
         # Tutte's theorem holds for every edge order
         for order in (None, shuffled):
             trees = g.spanning_trees_with_activities(order)
+            assert len(trees) == len(spanning_trees_by_combinations(g, order))
             total = MPoly.zero()
             for t in trees:
                 total = total + MPoly.monomial(1, x=t.internal_count, y=t.external_count)
-            assert total == g.tutte_polynomial()
-            assert g.tutte_polynomial().evaluate(x=1, y=1) == len(trees)
+            assert total == tutte
+            assert tutte.evaluate(x=1, y=1) == len(trees)
         checked += 1
 
 

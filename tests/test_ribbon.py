@@ -471,6 +471,29 @@ def test_index_outside_the_domain_raises(target, query, index, message):
         getattr(target, query)(index)
 
 
+NOT_AN_INT = [
+    (query, index, f"edge index {index} out of range for 3 edges")
+    for query in ("face_count", "bitstring", "delete_edge", "contract_edge", "is_loop")
+    for index in (True, 1.0)
+] + [
+    (query, index, f"half-edge {index} out of range for 6 half-edges")
+    for query in ("vertex_of", "edge_index_of")
+    for index in (True, 1.0)
+]
+
+
+@pytest.mark.parametrize(
+    "query, index, message",
+    NOT_AN_INT,
+    ids=[f"{query}({index})" for query, index, _ in NOT_AN_INT],
+)
+def test_index_that_is_not_an_int_raises(query, index, message):
+    # unchecked, True would index as 1 and a float would raise TypeError
+    argument = [index] if query in ("face_count", "bitstring") else index
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(TORUS_THETA, query)(argument)
+
+
 def test_edge_order_override_validation(genus2_graph):
     with pytest.raises(ValueError):
         genus2_graph.with_edge_order([0, 1])
