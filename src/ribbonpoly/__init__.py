@@ -45,7 +45,6 @@ from .mpoly import (
     X,
     Y,
     Z,
-    ZERO,
     counting_substitution,
     genus_counting_series,
 )
@@ -70,7 +69,6 @@ from .ribbon import (
     SpanningSubgraph,
     SubgraphCounts,
     build_ribbon_graph,
-    disjoint_union,
     graph_from_json,
     graph_to_json_dict,
 )
@@ -114,7 +112,6 @@ __all__ = [
     "X",
     "Y",
     "Z",
-    "ZERO",
     "activity_string",
     "build_ribbon_graph",
     "chord_diagram",
@@ -122,7 +119,6 @@ __all__ = [
     "compute",
     "counting_substitution",
     "deletion_contraction",
-    "disjoint_union",
     "duality_check",
     "enumerate_quasi_trees",
     "genus_counting_series",

@@ -213,7 +213,7 @@ def _run_count(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
 
 
 def _run_dual(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
-    report = duality_check(graph, seed=cfg.seed, cap=cfg.cap)
+    report = duality_check(graph, seed=cfg.seed)
     dual = graph.dual()
     payload = {"command": "dual", "dual": graph_to_json_dict(dual), **report.to_json_dict()}
     lines = [

@@ -260,7 +260,6 @@ class MPoly:
         ]
 
 
-ZERO = MPoly.zero()
 ONE = MPoly.constant(1)
 X = MPoly.variable("X")
 Y = MPoly.variable("Y")

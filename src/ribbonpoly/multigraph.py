@@ -65,14 +65,6 @@ class SpanningTreeActivities:
     internally_active: frozenset[int]
     externally_active: frozenset[int]
 
-    @property
-    def internal_count(self) -> int:
-        return len(self.internally_active)
-
-    @property
-    def external_count(self) -> int:
-        return len(self.externally_active)
-
 
 @dataclass(frozen=True)
 class MultiGraph:
@@ -96,10 +88,6 @@ class MultiGraph:
             if eid in ids:
                 raise ValueError(f"duplicate edge id {eid}")
             ids.add(eid)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def component_count(self) -> int:
         links = ((u, v) for u, v, _ in self.edges)

@@ -62,10 +62,6 @@ class Activity(Enum):
     EXTERNALLY_LIVE = "ℓ"
     EXTERNALLY_DEAD = "d"
 
-    @property
-    def symbol(self) -> str:
-        return self.value
-
 
 class ChordDiagram:
     """The marked boundary circle of a quasi-tree with edge pairs as chords."""
@@ -143,7 +139,7 @@ def activity_string(activities: Sequence[Activity], order: Sequence[int]) -> str
     Raises ValueError unless ``order`` is a permutation of the edge ids.
     """
     order = _checked_edge_order(order, len(activities))
-    return "".join(activities[eid].symbol for eid in order)
+    return "".join(activities[eid].value for eid in order)
 
 
 @dataclass(frozen=True)
@@ -155,12 +151,6 @@ class PartialResolution:
     """
 
     states: tuple[int | None, ...]
-
-    def unresolved(self) -> tuple[int, ...]:
-        return tuple(e for e, s in enumerate(self.states) if s is None)
-
-    def included(self) -> frozenset[int]:
-        return frozenset(e for e, s in enumerate(self.states) if s == 1)
 
 
 WeightKey = tuple[int, int, int, int, tuple[tuple[int, int], ...]]

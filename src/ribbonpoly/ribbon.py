@@ -23,7 +23,7 @@ and the permutations are built on access.  Input is checked once, where
 it enters: :func:`build_ribbon_graph` checks cycle and pair data and hands
 the arrays it fills to ``_derive``, the ``RibbonGraph`` constructor checks
 ``Perm`` input and :meth:`RibbonGraph.with_edge_order` an order.  Minors,
-components, duals and disjoint unions are valid by construction.
+components and duals are valid by construction.
 
 All objects here are immutable after construction and every operation is
 a pure function, so shared graphs are safe to use concurrently.
@@ -176,21 +176,10 @@ class RibbonGraph:
     def genus(self) -> int:
         return self.counts().genus
 
-    def _half_edge(self, h: int) -> int:
-        if type(h) is not int or not 1 <= h <= self.half_edge_count:
-            raise ValueError(f"half-edge {h} out of range for {self.half_edge_count} half-edges")
-        return h
-
     def _edge(self, edge_id: int) -> tuple[int, int]:
         if type(edge_id) is not int or not 0 <= edge_id < len(self.edges):
             raise ValueError(f"edge index {edge_id} out of range for {len(self.edges)} edges")
         return self.edges[edge_id]
-
-    def vertex_of(self, half_edge: int) -> int:
-        return self._vertex_of[self._half_edge(half_edge)]
-
-    def edge_index_of(self, half_edge: int) -> int:
-        return self._edge_of[self._half_edge(half_edge)]
 
     def is_loop(self, edge_id: int) -> bool:
         a, b = self._edge(edge_id)
@@ -407,10 +396,6 @@ class SpanningSubgraph:
     nullity: int
     genus: int
 
-    @property
-    def is_quasi_tree(self) -> bool:
-        return self.faces == 1 and self.components == 1
-
 
 def _checked_edge_order(order: Sequence[int], edge_count: int) -> tuple[int, ...]:
     order = tuple(order)
@@ -468,18 +453,6 @@ def build_ribbon_graph(
     halves = range(1, n2 + 1)
     return object.__new__(RibbonGraph)._derive(
         [0, *map(succ0.get, halves)], [0, *map(partner.get, halves)], order
-    )
-
-
-def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
-    """The disjoint union, with ``b``'s labels shifted above ``a``'s."""
-    if a.is_trivial or b.is_trivial:
-        raise ValueError("the trivial isolated vertex cannot join a disjoint union")
-    shift = a.half_edge_count
-    return object.__new__(RibbonGraph)._derive(
-        a._succ0 + [h + shift for h in b._succ0[1:]],
-        a._partner + [h + shift for h in b._partner[1:]],
-        a.edge_order + tuple(ei + len(a.edges) for ei in b.edge_order),
     )
 
 

@@ -27,17 +27,19 @@ independent route, so that tests can compare the two:
 * :func:`delete_edge`, :func:`contract_edge` and
   :func:`connected_components` build minors from vertex cycles through
   ``build_ribbon_graph``, an oracle for the array splicing of
-  :class:`~ribbonpoly.RibbonGraph`; :func:`disjoint_union` does the same
-  for the array concatenation of :func:`~ribbonpoly.disjoint_union`;
+  :class:`~ribbonpoly.RibbonGraph`; :func:`disjoint_union` builds the
+  disjoint union of two graphs the same way;
 * :func:`dual_by_permutations` builds the dual from ``sigma2`` and
   ``sigma1`` through the validating constructor, an oracle for the array
   inversion of :meth:`~ribbonpoly.RibbonGraph.dual`.
 
 A few plain functions of the program's objects stand in for members the
 program itself never calls: :func:`identity`, :func:`orbit_of` and
-:func:`orbit_count` of a :class:`~ribbonpoly.Perm`, :func:`interval_size`
-of a partial resolution, :func:`is_live` of an activity, and
-:func:`live_internal` and :func:`live_external` of a quasi-tree.  Two
+:func:`orbit_count` of a :class:`~ribbonpoly.Perm`, :func:`unresolved`,
+:func:`included` and :func:`interval_size` of a partial resolution,
+:func:`is_live` of an activity, and :func:`live_internal` and
+:func:`live_external` of a quasi-tree.  A half-edge's vertex and edge are
+read from the graph's public ``vertices`` and ``edges`` tuples.  Two
 readers the program has no input for live here too: :func:`parse_poly`
 reads the canonical text of an :class:`~ribbonpoly.MPoly` and
 :func:`subset_from_bitstring` reads an edge subset from its bitstring.
@@ -92,9 +94,17 @@ def orbit_count(p: Perm) -> int:
     return len(p.orbits())
 
 
+def unresolved(resolution: PartialResolution) -> tuple[int, ...]:
+    return tuple(e for e, s in enumerate(resolution.states) if s is None)
+
+
+def included(resolution: PartialResolution) -> frozenset[int]:
+    return frozenset(e for e, s in enumerate(resolution.states) if s == 1)
+
+
 def interval_size(resolution: PartialResolution) -> int:
     """The number of full resolutions in the interval."""
-    return 1 << len(resolution.unresolved())
+    return 1 << len(unresolved(resolution))
 
 
 def is_live(activity: Activity) -> bool:
@@ -103,12 +113,22 @@ def is_live(activity: Activity) -> bool:
 
 def live_internal(q: QuasiTree) -> frozenset[int]:
     """The leaf's unresolved edges inside its quasi-tree."""
-    return q.edges.intersection(q.resolution.unresolved())
+    return q.edges.intersection(unresolved(q.resolution))
 
 
 def live_external(q: QuasiTree) -> frozenset[int]:
     """The leaf's unresolved edges outside its quasi-tree."""
-    return frozenset(q.resolution.unresolved()).difference(q.edges)
+    return frozenset(unresolved(q.resolution)).difference(q.edges)
+
+
+def _vertex_of(graph: RibbonGraph) -> dict[int, int]:
+    """The index of every half-edge's vertex, read from the vertex cycles."""
+    return {h: vi for vi, cycle in enumerate(graph.vertices) for h in cycle}
+
+
+def _edge_of(graph: RibbonGraph) -> dict[int, int]:
+    """The index of every half-edge's edge, read from the edge pairs."""
+    return {h: ei for ei, pair in enumerate(graph.edges) for h in pair}
 
 
 def parse_poly(text: str) -> MPoly:
@@ -201,9 +221,8 @@ def restrict(graph: RibbonGraph, edges: Iterable[int]) -> RestrictedSubgraph:
     isolated vertex) is computed independently of the boundary walk.
     """
     chosen = frozenset(edges)
-    kept = [
-        h for h in range(1, graph.half_edge_count + 1) if graph.edge_index_of(h) in chosen
-    ]
+    edge_of = _edge_of(graph)
+    kept = [h for h in range(1, graph.half_edge_count + 1) if edge_of[h] in chosen]
     relabel = {h: i for i, h in enumerate(kept, start=1)}
     cycles = []
     isolated = 1 if graph.is_trivial else 0
@@ -231,8 +250,8 @@ def contains(resolution: PartialResolution, edge_set: Iterable[int]) -> bool:
 
 def completions(resolution: PartialResolution) -> Iterator[frozenset[int]]:
     """All edge subsets in the interval of a partial resolution."""
-    free = resolution.unresolved()
-    base = resolution.included()
+    free = unresolved(resolution)
+    base = included(resolution)
     for size in range(len(free) + 1):
         for extra in combinations(free, size):
             yield base | frozenset(extra)
@@ -279,27 +298,28 @@ def completion_by_gamma(graph: RibbonGraph, resolution: PartialResolution) -> fr
     """The quasi-tree of a leaf by the completion rule: include an unresolved
     edge iff setting it to 1, the other unresolved edges left free, keeps
     the linked boundary connected."""
-    included = resolution.included()
-    free = resolution.unresolved()
-    return included | frozenset(
+    base = included(resolution)
+    free = unresolved(resolution)
+    return base | frozenset(
         eid
         for eid in free
-        if _gamma_connected(graph, included | {eid}, (e for e in free if e != eid))
+        if _gamma_connected(graph, base | {eid}, (e for e in free if e != eid))
     )
 
 
 def dead_subgraph(q: QuasiTree) -> SpanningSubgraph:
     """The spanning subgraph of a leaf's internally dead edges."""
-    return q.parent.spanning_subgraph(q.resolution.included())
+    return q.parent.spanning_subgraph(included(q.resolution))
 
 
 def contracted_graph(q: QuasiTree) -> MultiGraph:
     """Vertices are the components of the dead subgraph, found by a search
     over its edges; edges are the internally live ones, by edge id."""
     graph = q.parent
+    vertex_of = _vertex_of(graph)
     neighbours: dict[int, set[int]] = {vi: set() for vi in range(graph.vertex_count)}
-    for eid in q.resolution.included():
-        a, b = (graph.vertex_of(h) for h in graph.edges[eid])
+    for eid in included(q.resolution):
+        a, b = (vertex_of[h] for h in graph.edges[eid])
         neighbours[a].add(b)
         neighbours[b].add(a)
     component: dict[int, int] = {}
@@ -317,7 +337,7 @@ def contracted_graph(q: QuasiTree) -> MultiGraph:
         count += 1
     live = sorted(live_internal(q))
     edges = tuple(
-        (*(component[graph.vertex_of(h)] for h in graph.edges[eid]), eid) for eid in live
+        (*(component[vertex_of[h]] for h in graph.edges[eid]), eid) for eid in live
     )
     return MultiGraph(count, edges)
 
@@ -463,7 +483,8 @@ def delete_edge(graph: RibbonGraph, edge_id: int) -> RibbonGraph:
 def contract_edge(graph: RibbonGraph, edge_id: int) -> RibbonGraph:
     """The cycles of the non-loop edge's endpoints, each opened at the edge, joined."""
     a, b = graph.edges[edge_id]
-    va, vb = graph.vertex_of(a), graph.vertex_of(b)
+    vertex_of = _vertex_of(graph)
+    va, vb = vertex_of[a], vertex_of[b]
     if va == vb:
         raise ValueError(f"edge {edge_id} is a loop")
 
@@ -481,9 +502,10 @@ def connected_components(graph: RibbonGraph) -> list[RibbonGraph]:
     """Components found by a search over shared vertices, each rebuilt from its cycles."""
     if graph.is_trivial:
         return [graph]
+    vertex_of = _vertex_of(graph)
     neighbours: dict[int, set[int]] = {vi: set() for vi in range(len(graph.vertices))}
     for a, b in graph.edges:
-        va, vb = graph.vertex_of(a), graph.vertex_of(b)
+        va, vb = vertex_of[a], vertex_of[b]
         neighbours[va].add(vb)
         neighbours[vb].add(va)
     seen: set[int] = set()

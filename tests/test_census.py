@@ -27,6 +27,7 @@ import random
 import sys
 
 from ribbonpoly import (
+    Method,
     MPoly,
     build_ribbon_graph,
     classify_activities,
@@ -48,7 +49,7 @@ from oracles import (
 
 
 def check(graph):
-    polynomial = verify_all(graph).polynomial
+    polynomial = verify_all(graph).results[Method.STATE_SUM].polynomial
     leaves = enumerate_quasi_trees(graph)
     by_genus = {(0, 0, 0, g): c for g, c in genus_histogram(leaves).items()}
     assert genus_counting_series(polynomial) == MPoly(by_genus)

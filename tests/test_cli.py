@@ -281,6 +281,32 @@ def test_recursion_on_a_long_path_is_not_limited_by_python_stack(tmp_path, capsy
     assert (captured.out, captured.err) == ("X^1000\n", "")
 
 
+def test_dual_runs_above_the_state_sum_cap(tmp_path, capsys):
+    # a 25-edge cycle is above the default cap of 24 free edges, so its state
+    # sum stops; dual takes both polynomials from the quasi-trees it
+    # enumerates, the 25 spanning trees of the cycle and the 25 single edges
+    # of its dual, all of genus 0
+    edges = 25
+    document = {
+        "sigma0": [[2 * i - 1, 2 * ((i - 2) % edges) + 2] for i in range(1, edges + 1)],
+        "sigma1": [[2 * i - 1, 2 * i] for i in range(1, edges + 1)],
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(document))
+    assert main(["compute", str(path), "--method", "statesum"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: 25 free edges exceed the cap of 24\n"
+    assert main(["dual", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2:] == [
+        "genus histogram:      {0: 25}",
+        "dual genus histogram: {0: 25}",
+        "quasi-tree complement bijection: ok",
+        "duality identity at 20 rational points: ok",
+    ]
+    assert captured.err == ""
+
+
 # -- hostile documents: the fixtures, mutated ---------------------------------------
 
 FIXTURES = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(GRAPHS.glob("*.json"))]

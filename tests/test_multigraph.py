@@ -144,7 +144,9 @@ def test_activity_sum_reproduces_tutte():
             assert len(trees) == len(spanning_trees_by_combinations(g, order))
             total = MPoly.zero()
             for t in trees:
-                total = total + MPoly.monomial(1, x=t.internal_count, y=t.external_count)
+                total = total + MPoly.monomial(
+                    1, x=len(t.internally_active), y=len(t.externally_active)
+                )
             assert total == tutte
             assert tutte.evaluate(x=1, y=1) == len(trees)
         checked += 1

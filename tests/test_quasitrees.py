@@ -18,7 +18,6 @@ from ribbonpoly import (
     build_ribbon_graph,
     chord_diagram,
     classify_activities,
-    disjoint_union,
     enumerate_quasi_trees,
     genus_histogram,
     quasi_tree_sum,
@@ -32,6 +31,7 @@ from oracles import (
     contains,
     contracted_graph,
     dead_subgraph,
+    disjoint_union,
     interval_size,
     is_live,
     live_external,
@@ -40,6 +40,7 @@ from oracles import (
     quasi_trees_by_brute_force,
     resolution_string,
     subset_from_bitstring,
+    unresolved,
 )
 
 
@@ -205,7 +206,7 @@ def test_leaf_unresolved_edges_are_the_live_edges():
             activities = classify_activities(q.diagram, q.edges, graph.edge_order)
             assert q.activities == activities
             live = {e for e, a in enumerate(activities) if is_live(a)}
-            assert live == set(q.resolution.unresolved())
+            assert live == set(unresolved(q.resolution))
 
 
 def test_live_chords_never_cross_lower_live_chords():
