@@ -317,6 +317,25 @@ def test_components_match_cycle_oracle():
                 _assert_same_graph(part, rebuilt_part)
 
 
+def test_disjoint_union_counts_add():
+    # the union that the component tests build must add every count and keep
+    # each piece's edge order, the second piece's edges after the first's
+    maps = _random_small_maps(37, 20)
+    for a, b in itertools.product(maps[:10], maps[10:]):
+        union = disjoint_union(a, b)
+        left, right, both = a.counts(), b.counts(), union.counts()
+        assert both == tuple(x + y for x, y in zip(left, right))
+        assert union.component_count == a.component_count + b.component_count
+        assert union.edge_order == a.edge_order + tuple(ei + a.edge_count for ei in b.edge_order)
+
+
+def test_is_loop_matches_vertex_cycles():
+    for g in _random_small_maps(41, 30):
+        vertex_of = {h: vi for vi, cycle in enumerate(g.vertices) for h in cycle}
+        for ei, (a, b) in enumerate(g.edges):
+            assert g.is_loop(ei) == (vertex_of[a] == vertex_of[b])
+
+
 # -- cycle data and the permutation route ---------------------------------------
 
 
@@ -417,6 +436,7 @@ def test_bitstring_roundtrip(genus2_graph):
             "boundary_components",
             "subgraph_counts",
             "bitstring",
+            "spanning_subgraph",
         )
         for index in (-1, 6)
     ],
@@ -461,7 +481,17 @@ def test_index_outside_the_domain_raises(target, query, index, message):
 
 NOT_AN_INT = [
     (query, index, f"edge index {index} out of range for 3 edges")
-    for query in ("face_count", "bitstring", "delete_edge", "contract_edge", "is_loop")
+    for query in (
+        "face_count",
+        "face_orbit_ids",
+        "boundary_components",
+        "subgraph_counts",
+        "spanning_subgraph",
+        "bitstring",
+        "delete_edge",
+        "contract_edge",
+        "is_loop",
+    )
     for index in (True, 1.0)
 ]
 
@@ -473,7 +503,8 @@ NOT_AN_INT = [
 )
 def test_index_that_is_not_an_int_raises(query, index, message):
     # unchecked, True would index as 1 and a float would raise TypeError
-    argument = [index] if query in ("face_count", "bitstring") else index
+    edge_ids = ("delete_edge", "contract_edge", "is_loop")
+    argument = index if query in edge_ids else [index]
     with pytest.raises(ValueError, match=re.escape(message)):
         getattr(TORUS_THETA, query)(argument)
 
