@@ -53,7 +53,6 @@ from .permutation import Perm
 from .quasitrees import (
     Activity,
     ChordDiagram,
-    PartialResolution,
     QuasiTree,
     QuasiTreeWeight,
     activity_string,
@@ -66,8 +65,6 @@ from .quasitrees import (
 from .ribbon import (
     GraphCounts,
     RibbonGraph,
-    SpanningSubgraph,
-    SubgraphCounts,
     build_ribbon_graph,
     graph_from_json,
     graph_to_json_dict,
@@ -95,18 +92,15 @@ __all__ = [
     "NotPartition",
     "NotQuasiTree",
     "ONE",
-    "PartialResolution",
     "Perm",
     "QuasiTree",
     "QuasiTreeWeight",
     "RibbonGraph",
     "RibbonPolyError",
     "SizeLimit",
-    "SpanningSubgraph",
     "SpanningTreeActivities",
     "SpanningTreeRow",
     "SplitRoot",
-    "SubgraphCounts",
     "T",
     "VerifyReport",
     "X",

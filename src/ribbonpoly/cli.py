@@ -19,6 +19,7 @@ input (unreadable file, invalid permutation data, violated precondition),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -39,7 +40,7 @@ from .expansions import (
     verify_all,
 )
 from .mpoly import MPoly
-from .quasitrees import enumerate_quasi_trees, genus_histogram, quasi_tree_weight
+from .quasitrees import enumerate_quasi_trees, genus_histogram, key_weight
 from .ribbon import RibbonGraph, edge_order_from_numbers, graph_from_json, graph_to_json_dict
 
 
@@ -134,11 +135,12 @@ def _run_verify(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
         )
     lines.append("all methods agree: yes")
     lines.append("C(X,Y,1) equals Tutte(X,1+Y): yes")
-    if report.quasi_tree_summands is not None:
+    quasi = report.results.get(Method.QUASI_TREE)
+    if quasi is not None:
+        subgraphs = report.results[Method.STATE_SUM].term_count
         lines.append(
-            f"quasi-tree summands {report.quasi_tree_summands} <= "
-            f"state-sum summands {report.state_sum_summands}: "
-            f"{'yes' if report.quasi_tree_has_fewer_summands else 'no'}"
+            f"quasi-tree summands {quasi.term_count} <= state-sum summands {subgraphs}: "
+            f"{'yes' if quasi.term_count <= subgraphs else 'no'}"
         )
     _emit(cfg, payload, lines)
     return 0
@@ -162,9 +164,10 @@ def _run_compute(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
 
 def _run_quasitrees(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
     quasi_trees = sorted(enumerate_quasi_trees(graph), key=lambda q: q.bitstring())
+    weight_of = functools.cache(key_weight)  # each distinct weight key expanded once
     rows = []
     for qt in quasi_trees:
-        weight = quasi_tree_weight(qt)
+        weight = weight_of(qt.weight_key())
         rows.append(
             {
                 "quasi_tree": qt.bitstring(),
@@ -214,7 +217,7 @@ def _run_count(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
 
 def _run_dual(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
     report = duality_check(graph, seed=cfg.seed)
-    dual = graph.dual()
+    dual = report.dual
     payload = {"command": "dual", "dual": graph_to_json_dict(dual), **report.to_json_dict()}
     lines = [
         f"dual sigma0: {dual.sigma0.cycle_string()}",

@@ -263,22 +263,15 @@ class VerifyReport:
     """Outcome of running every applicable method on one graph."""
 
     results: dict[Method, BrtResult]
-    quasi_tree_summands: int | None
-    state_sum_summands: int
-
-    @property
-    def quasi_tree_has_fewer_summands(self) -> bool | None:
-        if self.quasi_tree_summands is None:
-            return None
-        return self.quasi_tree_summands <= self.state_sum_summands
 
     def to_json_dict(self) -> dict:
+        quasi = self.results.get(Method.QUASI_TREE)
         return {
             "methods": {m.value: r.to_json_dict() for m, r in self.results.items()},
             "equal": True,
             "tutte_specialization_ok": True,
-            "quasi_tree_summands": self.quasi_tree_summands,
-            "state_sum_summands": self.state_sum_summands,
+            "quasi_tree_summands": quasi.term_count if quasi else None,
+            "state_sum_summands": self.results[Method.STATE_SUM].term_count,
         }
 
 
@@ -308,18 +301,14 @@ def verify_all(graph: RibbonGraph, cap: int = DEFAULT_SUBGRAPH_CAP) -> VerifyRep
     tutte_slice = graph.underlying_multigraph().tutte_polynomial().substitute(y=ONE + Y)
     if sliced != tutte_slice:
         raise Mismatch("statesum at Z=1", str(sliced), "Tutte at (X, 1+Y)", str(tutte_slice))
-    quasi = results.get(Method.QUASI_TREE)
-    return VerifyReport(
-        results=results,
-        quasi_tree_summands=quasi.term_count if quasi else None,
-        state_sum_summands=reference.term_count,
-    )
+    return VerifyReport(results)
 
 
 @dataclass(frozen=True)
 class DualityReport:
     """Outcome of the dual-graph checks (constructed only on success)."""
 
+    dual: RibbonGraph
     genus_histogram: dict[int, int]
     dual_genus_histogram: dict[int, int]
     sample_points: tuple[tuple[Fraction, Fraction, Fraction], ...]
@@ -398,6 +387,7 @@ def duality_check(graph: RibbonGraph, seed: int = 0) -> DualityReport:
                 f"duality identity fails at X={x}, Y={y}, Z={z}: {lhs} != {rhs}"
             )
     return DualityReport(
+        dual=dual_graph,
         genus_histogram=histogram,
         dual_genus_histogram=dual_histogram,
         sample_points=tuple(points),

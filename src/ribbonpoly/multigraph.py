@@ -79,10 +79,12 @@ class MultiGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.vertex_count < 1:
-            raise ValueError("a multigraph needs at least one vertex")
+        if type(self.vertex_count) is not int or self.vertex_count < 1:
+            raise ValueError(f"vertex count {self.vertex_count!r} is not a positive int")
         ids = set()
         for u, v, eid in self.edges:
+            if type(u) is not int or type(v) is not int or type(eid) is not int:
+                raise ValueError(f"edge ({u!r},{v!r},{eid!r}) is not three ints")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) endpoint out of range")
             if eid in ids:
@@ -125,12 +127,17 @@ class MultiGraph:
         loops externally active.  ``active`` and ``inactive`` are the edges
         contracted on the way to the leaf.  On a connected graph each leaf
         is one spanning tree with its activities (Tutte, 1954).
+
+        Contraction keeps every vertex label: the one merged away stays as
+        an isolated vertex, one more vertex and one more component, which
+        changes neither the forest test nor the bridge test.
         """
-        stack = [(self.vertex_count, self.edges, (), ())]
+        vertex_count = self.vertex_count
+        vertices = range(vertex_count)
+        stack = [(self.edges, (), ())]
         while stack:
-            vertex_count, edges, active, inactive = stack.pop()
+            edges, active, inactive = stack.pop()
             non_loops = [e for e in edges if e[0] != e[1]]
-            vertices = range(vertex_count)
             links = ((u, v) for u, v, _ in non_loops)
             components = _union_find(vertex_count, links, vertices)[0]
             if len(non_loops) == vertex_count - components:  # the non-loop edges form a forest
@@ -140,16 +147,15 @@ class MultiGraph:
             pivot = max(non_loops, key=rank)
             deleted = tuple(e for e in edges if e[2] != pivot[2])
             u0, v0 = pivot[0], pivot[1]
-            merged = tuple(
+            contracted = tuple(
                 (u0 if u == v0 else u, u0 if v == v0 else v, eid) for u, v, eid in deleted
             )
-            contracted = _drop_vertex(merged, v0)
             rest = ((u, v) for u, v, _ in deleted if u != v)
             if _union_find(vertex_count, rest, vertices)[0] > components:  # a bridge
-                stack.append((vertex_count - 1, contracted, (*active, pivot[2]), inactive))
+                stack.append((contracted, (*active, pivot[2]), inactive))
             else:
-                stack.append((vertex_count - 1, contracted, active, (*inactive, pivot[2])))
-                stack.append((vertex_count, deleted, active, inactive))
+                stack.append((contracted, active, (*inactive, pivot[2])))
+                stack.append((deleted, active, inactive))
 
     def tutte_polynomial(self) -> MPoly:
         """Tutte polynomial by Tutte's recursion, in the X/Y slots.
@@ -187,10 +193,3 @@ class MultiGraph:
             )
             for active, inactive, forest, loops in self._tutte_leaves(lambda e: rank[e[2]])
         ]
-
-
-def _drop_vertex(edges: tuple[Edge, ...], gone: int) -> tuple[Edge, ...]:
-    """Compact vertex labels after merging ``gone`` away (labels above shift down)."""
-    return tuple(
-        (u - 1 if u > gone else u, v - 1 if v > gone else v, eid) for u, v, eid in edges
-    )

@@ -23,8 +23,8 @@ resolution fails, and the 1-resolution is tested only when the
 stays impossible below, so the edge takes the other value in the unique
 quasi-tree of every leaf under it; the leaf's unresolved edges are
 exactly that quasi-tree's live edges, so a leaf reads its activities from
-its resolution.  The tests check them against :func:`classify_activities`,
-the chord-crossing definition.
+its resolution, its ``states``.  The tests check them against
+:func:`classify_activities`, the chord-crossing definition.
 
 Each quasi-tree contributes the weight
 
@@ -142,17 +142,6 @@ def activity_string(activities: Sequence[Activity], order: Sequence[int]) -> str
     return "".join(activities[eid].value for eid in order)
 
 
-@dataclass(frozen=True)
-class PartialResolution:
-    """Per-edge states in {0, 1, *}; ``None`` encodes the unresolved ``*``.
-
-    A partial resolution stands for the interval of all full resolutions
-    agreeing with it on the resolved edges.
-    """
-
-    states: tuple[int | None, ...]
-
-
 WeightKey = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
 
 
@@ -160,8 +149,10 @@ WeightKey = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
 class QuasiTree:
     """A leaf of the resolution tree: a quasi-tree with its resolution.
 
+    Its resolution ``states`` holds 0, 1 or ``None`` (the unresolved ``*``)
+    per edge id, and stands for the subsets that agree with it where resolved.
     The leaf has one face and so one component, which gives its genus by
-    Euler's formula.  Its activities are read from its resolution; the tests
+    Euler's formula.  Its activities are read from its states; the tests
     check them against :func:`classify_activities`.  The chord diagram, a
     function of the parent and the edges, is built on each access, and the
     weight reads only :meth:`weight_key`.
@@ -170,7 +161,7 @@ class QuasiTree:
     parent: RibbonGraph = field(repr=False)
     edges: frozenset[int]
     genus: int
-    resolution: PartialResolution
+    states: tuple[int | None, ...]
 
     @property
     def diagram(self) -> ChordDiagram:
@@ -182,7 +173,7 @@ class QuasiTree:
         """Per edge id: state 1 is D, state 0 is d, and an unresolved edge is L or ℓ."""
         dead = (Activity.EXTERNALLY_DEAD, Activity.INTERNALLY_DEAD)
         live = (Activity.EXTERNALLY_LIVE, Activity.INTERNALLY_LIVE)
-        states = enumerate(self.resolution.states)
+        states = enumerate(self.states)
         return tuple(dead[s] if s is not None else live[e in self.edges] for e, s in states)
 
     def weight_key(self) -> WeightKey:
@@ -194,7 +185,7 @@ class QuasiTree:
         W up to edge ids.  Joining those edges to D gives the leaf and adds
         n(W) = |internal live| - k(D) + 1 to the genus, so g(D) needs no face walk.
         """
-        graph, states, vertex_of = self.parent, self.resolution.states, self.parent._vertex_of
+        graph, states, vertex_of = self.parent, self.states, self.parent._vertex_of
         dead = [e for e, s in enumerate(states) if s == 1]
         live = [e for e, s in enumerate(states) if s is None]
         v = graph.vertex_count
@@ -226,7 +217,7 @@ def _build_quasi_tree(
     if faces != 1:
         raise NotQuasiTree(f"subgraph has {faces} boundary components, expected one")
     genus = _genus_from(1, graph.vertex_count, len(edge_set), 1)
-    return QuasiTree(graph, edge_set, genus, PartialResolution(tuple(states)))
+    return QuasiTree(graph, edge_set, genus, tuple(states))
 
 
 def _gamma_connected(

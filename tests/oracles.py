@@ -6,7 +6,7 @@ independent route, so that tests can compare the two:
 * :func:`restrict` rebuilds a spanning subgraph as a standalone ribbon
   graph, an oracle for the boundary walk behind ``face_count``;
 * :func:`completions`, :func:`contains` and :func:`resolution_string`
-  spell out the interval of a :class:`~ribbonpoly.PartialResolution`;
+  spell out the interval of a partial resolution, a leaf's ``states``;
 * :func:`quasi_trees_by_brute_force` scans every spanning subgraph for one
   face and one component, an oracle for the resolution-tree enumeration;
 * :func:`completion_by_gamma` completes a leaf by re-testing each
@@ -58,11 +58,10 @@ from ribbonpoly import (
     MPoly,
     MultiGraph,
     ONE,
-    PartialResolution,
+    GraphCounts,
     Perm,
     QuasiTree,
     RibbonGraph,
-    SpanningSubgraph,
     SpanningTreeActivities,
     X,
     Y,
@@ -94,17 +93,17 @@ def orbit_count(p: Perm) -> int:
     return len(p.orbits())
 
 
-def unresolved(resolution: PartialResolution) -> tuple[int, ...]:
-    return tuple(e for e, s in enumerate(resolution.states) if s is None)
+def unresolved(states: Sequence[int | None]) -> tuple[int, ...]:
+    return tuple(e for e, s in enumerate(states) if s is None)
 
 
-def included(resolution: PartialResolution) -> frozenset[int]:
-    return frozenset(e for e, s in enumerate(resolution.states) if s == 1)
+def included(states: Sequence[int | None]) -> frozenset[int]:
+    return frozenset(e for e, s in enumerate(states) if s == 1)
 
 
-def interval_size(resolution: PartialResolution) -> int:
+def interval_size(states: Sequence[int | None]) -> int:
     """The number of full resolutions in the interval."""
-    return 1 << len(unresolved(resolution))
+    return 1 << len(unresolved(states))
 
 
 def is_live(activity: Activity) -> bool:
@@ -113,12 +112,12 @@ def is_live(activity: Activity) -> bool:
 
 def live_internal(q: QuasiTree) -> frozenset[int]:
     """The leaf's unresolved edges inside its quasi-tree."""
-    return q.edges.intersection(unresolved(q.resolution))
+    return q.edges.intersection(unresolved(q.states))
 
 
 def live_external(q: QuasiTree) -> frozenset[int]:
     """The leaf's unresolved edges outside its quasi-tree."""
-    return frozenset(unresolved(q.resolution)).difference(q.edges)
+    return frozenset(unresolved(q.states)).difference(q.edges)
 
 
 def _vertex_of(graph: RibbonGraph) -> dict[int, int]:
@@ -241,26 +240,24 @@ def restrict(graph: RibbonGraph, edges: Iterable[int]) -> RestrictedSubgraph:
 # -- the interval of a partial resolution ---------------------------------------
 
 
-def contains(resolution: PartialResolution, edge_set: Iterable[int]) -> bool:
+def contains(states: Sequence[int | None], edge_set: Iterable[int]) -> bool:
     chosen = frozenset(edge_set)
-    return all(
-        s is None or (s == 1) == (e in chosen) for e, s in enumerate(resolution.states)
-    )
+    return all(s is None or (s == 1) == (e in chosen) for e, s in enumerate(states))
 
 
-def completions(resolution: PartialResolution) -> Iterator[frozenset[int]]:
+def completions(states: Sequence[int | None]) -> Iterator[frozenset[int]]:
     """All edge subsets in the interval of a partial resolution."""
-    free = unresolved(resolution)
-    base = included(resolution)
+    free = unresolved(states)
+    base = included(states)
     for size in range(len(free) + 1):
         for extra in combinations(free, size):
             yield base | frozenset(extra)
 
 
-def resolution_string(resolution: PartialResolution, order: Sequence[int]) -> str:
+def resolution_string(states: Sequence[int | None], order: Sequence[int]) -> str:
     """States in order position, with ``*`` for unresolved edges."""
     symbols = {0: "0", 1: "1", None: "*"}
-    return "".join(symbols[resolution.states[eid]] for eid in order)
+    return "".join(symbols[states[eid]] for eid in order)
 
 
 # -- quasi-trees ------------------------------------------------------------------
@@ -294,12 +291,12 @@ def _gamma_connected(graph: RibbonGraph, included: Iterable[int], stars: Iterabl
     return len(seen) == len(neighbours)
 
 
-def completion_by_gamma(graph: RibbonGraph, resolution: PartialResolution) -> frozenset[int]:
+def completion_by_gamma(graph: RibbonGraph, states: Sequence[int | None]) -> frozenset[int]:
     """The quasi-tree of a leaf by the completion rule: include an unresolved
     edge iff setting it to 1, the other unresolved edges left free, keeps
     the linked boundary connected."""
-    base = included(resolution)
-    free = unresolved(resolution)
+    base = included(states)
+    free = unresolved(states)
     return base | frozenset(
         eid
         for eid in free
@@ -307,9 +304,11 @@ def completion_by_gamma(graph: RibbonGraph, resolution: PartialResolution) -> fr
     )
 
 
-def dead_subgraph(q: QuasiTree) -> SpanningSubgraph:
-    """The spanning subgraph of a leaf's internally dead edges."""
-    return q.parent.spanning_subgraph(included(q.resolution))
+def dead_subgraph(q: QuasiTree) -> tuple[frozenset[int], GraphCounts]:
+    """The edge set of a leaf's internally dead edges and its counts as a
+    spanning subgraph."""
+    dead = included(q.states)
+    return dead, q.parent.subgraph_counts(dead)
 
 
 def contracted_graph(q: QuasiTree) -> MultiGraph:
@@ -318,7 +317,7 @@ def contracted_graph(q: QuasiTree) -> MultiGraph:
     graph = q.parent
     vertex_of = _vertex_of(graph)
     neighbours: dict[int, set[int]] = {vi: set() for vi in range(graph.vertex_count)}
-    for eid in included(q.resolution):
+    for eid in included(q.states):
         a, b = (vertex_of[h] for h in graph.edges[eid])
         neighbours[a].add(b)
         neighbours[b].add(a)
@@ -345,7 +344,7 @@ def contracted_graph(q: QuasiTree) -> MultiGraph:
 def weight_by_subgraphs(q: QuasiTree) -> tuple[int, int, int, MPoly, MPoly]:
     """``(n(D), g(D), |external live|, T(X, 1+YZ), expanded weight)`` of a
     leaf, from its dead subgraph and its contracted multigraph."""
-    dead = dead_subgraph(q)
+    _, dead = dead_subgraph(q)
     external_live = len(live_external(q))
     tutte = contracted_graph(q).tutte_polynomial().substitute(y=ONE + Y * Z)
     expanded = (
@@ -436,16 +435,16 @@ def tutte_by_subgraph_sum(graph: MultiGraph) -> MPoly:
 
 
 def interval_state_sum(
-    graph: RibbonGraph, interval: Mapping[int, int] | PartialResolution
+    graph: RibbonGraph, interval: Mapping[int, int] | tuple[int | None, ...]
 ) -> tuple[MPoly, int]:
     """(state sum, subgraph count) over the subgraphs inside ``interval``.
 
     ``interval`` fixes some edges to 0 (absent) or 1 (present), either as a
-    mapping from edge index or as a partial resolution; the other edges are
+    mapping from edge index or as a leaf's ``states``; the other edges are
     free.
     """
-    if isinstance(interval, PartialResolution):
-        fixed = {e: s for e, s in enumerate(interval.states) if s is not None}
+    if isinstance(interval, tuple):
+        fixed = {e: s for e, s in enumerate(interval) if s is not None}
     else:
         fixed = dict(interval)
     for eid, value in fixed.items():

@@ -61,16 +61,16 @@ def check(graph):
     assert set(trees) == set(spanning_trees_by_combinations(multigraph, graph.edge_order))
     total = MPoly.zero()
     for q in leaves:
-        assert q.edges == completion_by_gamma(graph, q.resolution), q.resolution
+        assert q.edges == completion_by_gamma(graph, q.states), q.states
         expected = classify_activities(q.diagram, q.edges, graph.edge_order)
-        assert q.activities == expected, q.resolution
+        assert q.activities == expected, q.states
         w = quasi_tree_weight(q)
         weight = (w.nullity_dead, w.genus_dead, w.external_live_count, w.tutte_factor, w.expanded)
         reference = weight_by_subgraphs(q)
-        assert weight == reference, q.resolution
+        assert weight == reference, q.states
         contracted = contracted_graph(q)
         pairs = tuple(sorted((min(u, v), max(u, v)) for u, v, _ in contracted.edges))
-        assert q.weight_key() == (*reference[:3], contracted.vertex_count, pairs), q.resolution
+        assert q.weight_key() == (*reference[:3], contracted.vertex_count, pairs), q.states
         total = total + reference[-1]
     result = quasi_tree_sum(graph)
     assert (result.polynomial, result.term_count) == (total, len(leaves))

@@ -53,8 +53,8 @@ def test_state_sum_restricted_to_interval(genus2_graph):
 
 def test_state_sum_interval_accepts_partial_resolution(genus2_graph):
     by_bits = {q.bitstring(): q for q in enumerate_quasi_trees(genus2_graph)}
-    resolution = by_bits["011101"].resolution
-    assert interval_state_sum(genus2_graph, resolution)[0] == X * Y * (
+    states = by_bits["011101"].states
+    assert interval_state_sum(genus2_graph, states)[0] == X * Y * (
         ONE + Y
     ) * (X + 1 + Y * Z)
 
@@ -134,8 +134,7 @@ def test_compute_dispatch(genus2_graph):
 def test_verify_worked_graph(genus2_graph):
     report = verify_all(genus2_graph)
     assert report.results[Method.STATE_SUM].term_count == 64
-    assert report.quasi_tree_summands == 12
-    assert report.quasi_tree_has_fewer_summands
+    assert report.results[Method.QUASI_TREE].term_count == 12
     payload = report.to_json_dict()
     assert payload["equal"] is True
     assert payload["methods"]["statesum"]["term_count"] == 64
@@ -144,7 +143,7 @@ def test_verify_worked_graph(genus2_graph):
 def test_verify_genus_zero_summands_equal_tree_count(planar_theta):
     report = verify_all(planar_theta)
     trees = spanning_tree_rows(planar_theta)
-    assert report.quasi_tree_summands == len(trees)
+    assert report.results[Method.QUASI_TREE].term_count == len(trees)
 
 
 def test_verify_random_graphs_agree():
@@ -159,7 +158,7 @@ def test_verify_disconnected_runs_two_methods(one_loop):
     union = disjoint_union(one_loop, one_loop)
     report = verify_all(union)
     assert set(report.results) == {Method.STATE_SUM, Method.RECURSIVE}
-    assert report.quasi_tree_summands is None
+    assert report.to_json_dict()["quasi_tree_summands"] is None
 
 
 # -- duality -----------------------------------------------------------------------
@@ -171,6 +170,11 @@ def test_duality_worked_graph(genus2_graph):
     assert report.dual_genus_histogram == {0: 1, 1: 7, 2: 4}
     assert len(report.sample_points) == 20
     assert all((x - 1) * y * z == 1 for x, y, z in report.sample_points)
+
+
+def test_duality_report_carries_the_dual(genus2_graph, torus_theta, planar_theta):
+    for graph in (genus2_graph, torus_theta, planar_theta):
+        assert duality_check(graph).dual == graph.dual()
 
 
 def test_duality_torus_theta(torus_theta):
@@ -263,5 +267,5 @@ def test_interleaved_one_vertex_graphs_have_fewer_summands():
         )
         if not interleaved:
             continue
-        report = verify_all(graph)
-        assert report.quasi_tree_summands < report.state_sum_summands
+        results = verify_all(graph).results
+        assert results[Method.QUASI_TREE].term_count < results[Method.STATE_SUM].term_count

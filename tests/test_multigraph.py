@@ -179,3 +179,21 @@ def test_spanning_trees_match_the_combinations_oracle():
 def test_spanning_trees_require_connected():
     with pytest.raises(Disconnected):
         MultiGraph(2, ()).spanning_trees_with_activities()
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges",
+    [
+        (2, ((0, 1.0, 0),)),
+        (2.0, ((0, 1, 0),)),
+        (2, ((0, 1, "a"), (0, 1, 1))),
+        (2, ((0, True, 0),)),
+        (2, ((0, 1, 0.5),)),
+    ],
+    ids=["float endpoint", "float vertex count", "str edge id", "bool endpoint", "float edge id"],
+)
+def test_input_that_is_not_an_int_raises(vertex_count, edges):
+    # unchecked, the first three raise TypeError inside the Tutte recursion or
+    # the edge ranking, and the last two are taken silently
+    with pytest.raises(ValueError, match="is not"):
+        MultiGraph(vertex_count, edges)

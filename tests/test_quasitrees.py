@@ -165,7 +165,8 @@ def test_trivial_graph_quasi_tree():
 
 def test_leaf_with_two_faces_is_not_a_quasi_tree(planar_theta):
     # two edges of the planar theta make a cycle: one component, two faces
-    assert planar_theta.subgraph_counts([0, 1])[:3] == (1, 2, 2)
+    counts = planar_theta.subgraph_counts([0, 1])
+    assert (counts.components, counts.edges, counts.faces) == (1, 2, 2)
     with pytest.raises(NotQuasiTree, match="has 2 boundary components, expected one"):
         _build_quasi_tree(planar_theta, frozenset({0, 1}), (1, 1, 0))
 
@@ -178,9 +179,9 @@ def test_disconnected_root_raises(one_loop):
 def test_resolution_of_named_leaf(genus2_graph):
     by_bits = {q.bitstring(): q for q in enumerate_quasi_trees(genus2_graph)}
     q = by_bits["011101"]
-    assert resolution_string(q.resolution, q.parent.edge_order) == "****01"
-    assert interval_size(q.resolution) == 16
-    assert contains(q.resolution, q.edges)
+    assert resolution_string(q.states, q.parent.edge_order) == "****01"
+    assert interval_size(q.states) == 16
+    assert contains(q.states, q.edges)
 
 
 def test_enumeration_matches_brute_force_on_fixtures(
@@ -206,7 +207,7 @@ def test_leaf_unresolved_edges_are_the_live_edges():
             activities = classify_activities(q.diagram, q.edges, graph.edge_order)
             assert q.activities == activities
             live = {e for e, a in enumerate(activities) if is_live(a)}
-            assert live == set(unresolved(q.resolution))
+            assert live == set(unresolved(q.states))
 
 
 def test_live_chords_never_cross_lower_live_chords():
@@ -224,10 +225,10 @@ def test_leaf_intervals_partition_the_subset_lattice():
     for _ in range(10):
         graph = random_connected_ribbon_graph(rng, rng.randint(1, 7))
         qts = enumerate_quasi_trees(graph)
-        assert sum(interval_size(q.resolution) for q in qts) == 2**graph.edge_count
+        assert sum(interval_size(q.states) for q in qts) == 2**graph.edge_count
         seen = set()
         for q in qts:
-            for completion in completions(q.resolution):
+            for completion in completions(q.states):
                 assert completion not in seen
                 seen.add(completion)
         assert len(seen) == 2**graph.edge_count
@@ -241,13 +242,13 @@ def test_single_edge_effects_on_dead_subgraph():
     for _ in range(12):
         graph = random_connected_ribbon_graph(rng, rng.randint(1, 7))
         for q in enumerate_quasi_trees(graph):
-            dead = dead_subgraph(q)
+            dead_edges, dead = dead_subgraph(q)
             for eid in live_external(q):
-                grown = graph.subgraph_counts(dead.edges | {eid})
+                grown = graph.subgraph_counts(dead_edges | {eid})
                 assert grown.faces == dead.faces + 1
                 assert grown.components == dead.components
             for eid in live_internal(q):
-                grown = graph.subgraph_counts(dead.edges | {eid})
+                grown = graph.subgraph_counts(dead_edges | {eid})
                 assert grown.faces == dead.faces - 1
 
 
@@ -265,13 +266,13 @@ def _components(vertex_count, links):
 
 
 def _check_split_identities(graph, q):
-    dead = dead_subgraph(q)
+    dead_edges, dead = dead_subgraph(q)
     contracted = contracted_graph(q)
     internal = sorted(live_internal(q))
     external = sorted(live_external(q))
     for r in range(len(internal) + 1):
         for part1 in itertools.combinations(internal, r):
-            with_internal = graph.subgraph_counts(dead.edges | frozenset(part1))
+            with_internal = graph.subgraph_counts(dead_edges | frozenset(part1))
             contracted_sub = [(u, v) for u, v, eid in contracted.edges if eid in part1]
             # nullity of the matching spanning subgraph of the contracted graph
             k_w = _components(contracted.vertex_count, contracted_sub)
@@ -281,7 +282,7 @@ def _check_split_identities(graph, q):
             for s in range(len(external) + 1):
                 for part2 in itertools.combinations(external, s):
                     both = graph.subgraph_counts(
-                        dead.edges | frozenset(part1) | frozenset(part2)
+                        dead_edges | frozenset(part1) | frozenset(part2)
                     )
                     assert both.components == with_internal.components
                     assert both.nullity == with_internal.nullity + len(part2)
@@ -334,7 +335,7 @@ def test_one_vertex_weights_degenerate_to_loop_factors():
     for graph in all_one_vertex_graphs(3):
         for q in enumerate_quasi_trees(graph):
             w = quasi_tree_weight(q)
-            dead = dead_subgraph(q)
+            _, dead = dead_subgraph(q)
             assert w.expanded == (
                 MPoly.monomial(1, y=dead.nullity, z=dead.genus)
                 * (ONE + Y) ** len(live_external(q))
@@ -353,7 +354,7 @@ def test_expansion_is_edge_order_independent(genus2_graph, torus_theta):
 
 
 def test_leaf_keeps_four_fields_and_builds_its_diagram(genus2_graph):
-    assert [f.name for f in fields(QuasiTree)] == ["parent", "edges", "genus", "resolution"]
+    assert [f.name for f in fields(QuasiTree)] == ["parent", "edges", "genus", "states"]
     for q in enumerate_quasi_trees(genus2_graph):
         assert q.diagram.cycle == chord_diagram(genus2_graph, q.edges).cycle
 

@@ -73,6 +73,17 @@ def test_trivial_graph():
     assert trivial.counts() == (1, 0, 1, 1, 0, 0)
 
 
+@pytest.mark.parametrize("path", sorted(GRAPHS.glob("*.json")), ids=lambda path: path.stem)
+def test_counts_are_the_subgraph_counts_of_every_edge(path):
+    # one record for a graph and its spanning subgraphs, each of which keeps
+    # every vertex: the whole edge set gives the graph's own counts
+    graph = graph_from_json(json.loads(path.read_text(encoding="utf-8")))
+    every_edge = range(graph.edge_count)
+    counts = graph.counts()
+    assert counts == graph.subgraph_counts(every_edge) == graph.spanning_subgraph(every_edge)
+    assert counts.vertices == graph.vertex_count and counts.edges == graph.edge_count
+
+
 def test_validation_errors():
     with pytest.raises(NotInvolution):
         build_ribbon_graph([[1, 2]], [[1, 1]])
@@ -166,7 +177,7 @@ def _check_subgraph_counts_against_restriction(graph):
         assert counts.components == restricted.component_count
         assert counts.genus == restricted.genus
         assert counts.faces >= counts.components
-        assert counts.nullity == counts.components - graph.counts().vertices + counts.edge_count
+        assert counts.nullity == counts.components - graph.counts().vertices + counts.edges
         assert len(graph.boundary_components(subset)) == counts.faces
 
 
