@@ -49,7 +49,6 @@ from .mpoly import (
     genus_counting_series,
 )
 from .multigraph import MultiGraph, SpanningTreeActivities
-from .permutation import Perm
 from .quasitrees import (
     Activity,
     ChordDiagram,
@@ -92,7 +91,6 @@ __all__ = [
     "NotPartition",
     "NotQuasiTree",
     "ONE",
-    "Perm",
     "QuasiTree",
     "QuasiTreeWeight",
     "RibbonGraph",

@@ -41,7 +41,13 @@ from .expansions import (
 )
 from .mpoly import MPoly
 from .quasitrees import enumerate_quasi_trees, genus_histogram, key_weight
-from .ribbon import RibbonGraph, edge_order_from_numbers, graph_from_json, graph_to_json_dict
+from .ribbon import (
+    RibbonGraph,
+    _cycle_string,
+    edge_order_from_numbers,
+    graph_from_json,
+    graph_to_json_dict,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -220,8 +226,8 @@ def _run_dual(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
     dual = report.dual
     payload = {"command": "dual", "dual": graph_to_json_dict(dual), **report.to_json_dict()}
     lines = [
-        f"dual sigma0: {dual.sigma0.cycle_string()}",
-        f"dual sigma1: {dual.sigma1.cycle_string()}",
+        f"dual sigma0: {_cycle_string(dual.vertices)}",
+        f"dual sigma1: {_cycle_string(dual.edges)}",
         f"genus histogram:      {report.genus_histogram}",
         f"dual genus histogram: {report.dual_genus_histogram}",
         "quasi-tree complement bijection: ok",

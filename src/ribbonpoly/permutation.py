@@ -2,6 +2,12 @@
 
 Labels are 1-based throughout: ``p(i)`` is the image of label ``i``.
 Composition is functional and right-to-left, so ``(p * q)(i) == p(q(i))``.
+
+Nothing else in the package builds a :class:`Perm`: a ribbon graph keeps
+its permutations as successor arrays.  The tests compose the permutation
+triple from a graph's vertex and edge tuples with it, an oracle for the
+boundary walk; the module stays here, outside ``ribbonpoly.__all__``,
+while ``perfbench/tracing.py::HOOKS`` names its methods.
 """
 
 from __future__ import annotations
@@ -84,12 +90,6 @@ class Perm:
                 i = self._images[i - 1]
             out.append(tuple(cycle))
         return out
-
-    def is_fixed_point_free_involution(self) -> bool:
-        return all(
-            img != i and self._images[img - 1] == i
-            for i, img in enumerate(self._images, start=1)
-        )
 
     def cycle_string(self) -> str:
         orbits = [o for o in self.orbits() if len(o) > 1]

@@ -20,12 +20,16 @@ edges.  Other isolated vertices cannot be encoded by permutations.
 
 A :class:`RibbonGraph` stores only the successor arrays of ``sigma0`` and
 ``sigma1``; :meth:`RibbonGraph._derive` builds every other table, the
-vertices and faces coming from one walk, :meth:`RibbonGraph._boundary_walk`,
-and the permutations are built on access.  Input is checked once, where
-it enters: :func:`build_ribbon_graph` checks cycle and pair data and hands
-the arrays it fills to ``_derive``, the ``RibbonGraph`` constructor checks
-``Perm`` input and :meth:`RibbonGraph.with_edge_order` an order.  Minors,
-components and duals are valid by construction.
+vertices and faces coming from one walk, :meth:`RibbonGraph._boundary_walk`.
+The orbits of ``sigma0`` and ``sigma1`` are the public :attr:`~RibbonGraph.vertices`
+and :attr:`~RibbonGraph.edges` tuples, and those of ``sigma2`` are the
+:meth:`~RibbonGraph.boundary_components` of the whole edge set; no
+permutation object is built.  Input is checked once, where it enters:
+:func:`build_ribbon_graph` (and :func:`graph_from_json`, which calls it)
+checks cycle and pair data and hands the arrays it fills to ``_derive``,
+and :meth:`RibbonGraph.with_edge_order` checks an order.  Calling the class
+itself raises TypeError; minors, components and duals are valid by
+construction.
 
 All objects here are immutable after construction and every operation is
 a pure function, so shared graphs are safe to use concurrently.
@@ -38,7 +42,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Disconnected, LoopContraction, NotInvolution, NotPartition
 from .multigraph import MultiGraph, _union_find
-from .permutation import Perm
 
 
 class GraphCounts(NamedTuple):
@@ -74,9 +77,8 @@ class RibbonGraph:
     same graph under another one.
 
     Only the ``sigma0`` and ``sigma1`` successor arrays and the order are
-    stored; :attr:`sigma0`, :attr:`sigma1` and :attr:`sigma2` build a
-    :class:`Perm` on each access.  The constructor validates its input, as
-    :func:`build_ribbon_graph` does; derived graphs are not validated again.
+    stored.  Graphs are built by :func:`build_ribbon_graph`, which validates
+    its input, and derived from other graphs without being validated again.
     """
 
     __slots__ = (
@@ -92,14 +94,9 @@ class RibbonGraph:
         "_component_count",
     )
 
-    def __init__(self, sigma0: Perm, sigma1: Perm, edge_order: Sequence[int] | None = None):
-        n2 = sigma0.size
-        if sigma1.size != n2:
-            raise ValueError("sigma0 and sigma1 act on different label sets")
-        if n2 and not sigma1.is_fixed_point_free_involution():
-            raise NotInvolution("sigma1 must be a fixed-point-free involution")
-        order = None if edge_order is None else _checked_edge_order(edge_order, n2 // 2)
-        self._derive([0, *sigma0.images], [0, *sigma1.images], order)
+    def __init__(self, *args, **kwargs):
+        """Refuses: graphs come from :func:`build_ribbon_graph`, which checks its input."""
+        raise TypeError("build a RibbonGraph with build_ribbon_graph or graph_from_json")
 
     def _derive(self, succ0: list[int], partner: list[int], order: tuple | None) -> RibbonGraph:
         """Store the successor arrays (slot 0 unused; never mutated, so graphs
@@ -146,21 +143,6 @@ class RibbonGraph:
     @property
     def is_connected(self) -> bool:
         return self._component_count == 1
-
-    @property
-    def sigma0(self) -> Perm:
-        """The vertex rotations, built on each access."""
-        return Perm(self._succ0[1:])
-
-    @property
-    def sigma1(self) -> Perm:
-        """The edge involution, built on each access."""
-        return Perm(self._partner[1:])
-
-    @property
-    def sigma2(self) -> Perm:
-        """The face permutation ``(sigma0 * sigma1)^-1``, built on each access."""
-        return Perm(self._succ2inv[1:]).inverse()
 
     def counts(self) -> GraphCounts:
         """The tuple ``(v, e, f, k, g, n)`` of standard invariants."""
@@ -243,17 +225,17 @@ class RibbonGraph:
 
     def subgraph_counts(self, edges: Iterable[int]) -> GraphCounts:
         """``(v, e, f, k, g, n)`` of the spanning subgraph with the given edges,
-        which keeps every vertex of the graph."""
+        which keeps every vertex of the graph; a repeated index counts once."""
         edges = list(edges)
-        f = self.face_count(edges)
+        f = self.face_count(edges)  # checks every index, so set() below cannot fail
         v = self.vertex_count
         k = _union_find(v, map(self.edges.__getitem__, edges), self._vertex_of)[0]
-        e_h = len(edges)
+        e_h = len(set(edges))
         return GraphCounts(v, e_h, f, k, _genus_from(k, v, e_h, f), e_h - v + k)
 
     def spanning_subgraph(self, edges: Iterable[int]) -> GraphCounts:
-        """:meth:`subgraph_counts` of the edge set; kept for perfbench's trace hook."""
-        return self.subgraph_counts(frozenset(edges))
+        """:meth:`subgraph_counts`; kept for perfbench's trace hook."""
+        return self.subgraph_counts(edges)
 
     # -- edge-order helpers --------------------------------------------
 
@@ -369,10 +351,13 @@ class RibbonGraph:
         return hash((tuple(self._succ0), tuple(self._partner), self.edge_order))
 
     def __repr__(self) -> str:
-        return (
-            f"RibbonGraph(sigma0={self.sigma0.cycle_string()}, "
-            f"sigma1={self.sigma1.cycle_string()})"
-        )
+        sigma0, sigma1 = _cycle_string(self.vertices), _cycle_string(self.edges)
+        return f"RibbonGraph(sigma0={sigma0}, sigma1={sigma1})"
+
+
+def _cycle_string(orbits: Iterable[tuple[int, ...]]) -> str:
+    """Cycle notation of a permutation given by its orbits, fixed points left out."""
+    return "".join("(" + ",".join(map(str, o)) + ")" for o in orbits if len(o) > 1) or "()"
 
 
 def _checked_edge_order(order: Sequence[int], edge_count: int) -> tuple[int, ...]:

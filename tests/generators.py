@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
-from ribbonpoly import Perm, RibbonGraph, build_ribbon_graph
+from ribbonpoly import RibbonGraph, build_ribbon_graph
+from ribbonpoly.permutation import Perm
 
 
 def perfect_matchings(labels: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
@@ -59,7 +60,7 @@ def random_connected_ribbon_graph(rng: random.Random, edge_count: int) -> Ribbon
         labels = list(range(1, n2 + 1))
         rng.shuffle(labels)
         pairs = [(labels[2 * i], labels[2 * i + 1]) for i in range(edge_count)]
-        graph = RibbonGraph(Perm(images), Perm.from_cycles(pairs, n2))
+        graph = build_ribbon_graph(Perm(images).orbits(), pairs)
         if graph.is_connected:
             return graph
 
@@ -76,7 +77,8 @@ def _face_corners(
     graph = build_ribbon_graph([r for r in rotations if r], pairs)
     _, face_of = graph.face_orbit_ids(range(graph.edge_count))
     corners: dict[int, list[int]] = {face_of[h]: [] for rotation in rotations for h in rotation}
-    for j, after in enumerate(graph.sigma0.images, start=1):
+    rotation = Perm.from_cycles(graph.vertices, graph.half_edge_count)
+    for j, after in enumerate(rotation.images, start=1):
         corners[face_of[after]].append(j)
     return list(corners.values())
 

@@ -29,16 +29,21 @@ independent route, so that tests can compare the two:
   ``build_ribbon_graph``, an oracle for the array splicing of
   :class:`~ribbonpoly.RibbonGraph`; :func:`disjoint_union` builds the
   disjoint union of two graphs the same way;
-* :func:`dual_by_permutations` builds the dual from ``sigma2`` and
-  ``sigma1`` through the validating constructor, an oracle for the array
-  inversion of :meth:`~ribbonpoly.RibbonGraph.dual`.
+* :func:`sigma0`, :func:`sigma1` and :func:`sigma2` build the permutation
+  triple as :class:`~ribbonpoly.permutation.Perm` objects from the public
+  ``vertices`` and ``edges`` tuples alone; the faces are the cycles of
+  ``sigma2^-1 = sigma0 * sigma1``, an oracle for the boundary walk that
+  shares no code with it;
+* :func:`dual_by_permutations` builds the dual from the orbits of
+  ``sigma2`` and ``sigma1`` through ``build_ribbon_graph``, an oracle for
+  the array inversion of :meth:`~ribbonpoly.RibbonGraph.dual`.
 
 A few plain functions of the program's objects stand in for members the
 program itself never calls: :func:`identity`, :func:`orbit_of` and
-:func:`orbit_count` of a :class:`~ribbonpoly.Perm`, :func:`unresolved`,
-:func:`included` and :func:`interval_size` of a partial resolution,
-:func:`is_live` of an activity, and :func:`live_internal` and
-:func:`live_external` of a quasi-tree.  A half-edge's vertex and edge are
+:func:`orbit_count` of a :class:`~ribbonpoly.permutation.Perm`,
+:func:`unresolved`, :func:`included` and :func:`interval_size` of a
+partial resolution, :func:`is_live` of an activity, and
+:func:`live_internal` and :func:`live_external` of a quasi-tree.  A half-edge's vertex and edge are
 read from the graph's public ``vertices`` and ``edges`` tuples.  Two
 readers the program has no input for live here too: :func:`parse_poly`
 reads the canonical text of an :class:`~ribbonpoly.MPoly` and
@@ -59,7 +64,6 @@ from ribbonpoly import (
     MultiGraph,
     ONE,
     GraphCounts,
-    Perm,
     QuasiTree,
     RibbonGraph,
     SpanningTreeActivities,
@@ -71,6 +75,7 @@ from ribbonpoly import (
 from ribbonpoly.expansions import _subgraph_sum
 from ribbonpoly.mpoly import _VAR_INDEX, ExponentKey
 from ribbonpoly.multigraph import Edge, _union_find
+from ribbonpoly.permutation import Perm
 
 # -- plain functions of the program's objects -----------------------------------
 
@@ -91,6 +96,21 @@ def orbit_of(p: Perm, i: int) -> tuple[int, ...]:
 
 def orbit_count(p: Perm) -> int:
     return len(p.orbits())
+
+
+def sigma0(graph: RibbonGraph) -> Perm:
+    """The vertex rotations, read from the graph's ``vertices``."""
+    return Perm.from_cycles(graph.vertices, graph.half_edge_count)
+
+
+def sigma1(graph: RibbonGraph) -> Perm:
+    """The edge involution, read from the graph's ``edges``."""
+    return Perm.from_cycles(graph.edges, graph.half_edge_count)
+
+
+def sigma2(graph: RibbonGraph) -> Perm:
+    """The face permutation ``(sigma0 * sigma1)^-1``."""
+    return (sigma0(graph) * sigma1(graph)).inverse()
 
 
 def unresolved(states: Sequence[int | None]) -> tuple[int, ...]:
@@ -537,5 +557,8 @@ def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
 
 
 def dual_by_permutations(graph: RibbonGraph) -> RibbonGraph:
-    """The dual as ``RibbonGraph(sigma2, sigma1)``, inheriting the edge order."""
-    return RibbonGraph(graph.sigma2, graph.sigma1, edge_order=graph.edge_order)
+    """The dual built from the orbits of ``sigma2`` and ``sigma1``, inheriting
+    the edge order."""
+    return build_ribbon_graph(
+        sigma2(graph).orbits(), sigma1(graph).orbits(), edge_order=graph.edge_order
+    )

@@ -138,9 +138,9 @@ def test_criterion_06_two_embeddings_of_one_graph(planar_theta, torus_theta):
     right = torus_theta.counts()
     assert (left.vertices, left.edges, left.faces, left.genus) == (2, 3, 3, 0)
     assert (right.vertices, right.edges, right.faces, right.genus) == (2, 3, 1, 1)
-    full = torus_theta.spanning_subgraph(range(3))
+    full = torus_theta.subgraph_counts(range(3))
     assert (full.faces, full.components) == (1, 1)
-    full = planar_theta.spanning_subgraph(range(3))
+    full = planar_theta.subgraph_counts(range(3))
     assert (full.faces, full.components) != (1, 1)
     _pass(6, "the permutation triples give (2,3,3,0) and (2,3,1,1); only the "
              "second is itself a quasi-tree")

@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from ribbonpoly import Perm
+from ribbonpoly.permutation import Perm
 from oracles import identity, orbit_of
 
 
@@ -35,12 +35,6 @@ def test_orbits_rotate_to_min_and_sort():
 def test_orbit_of_single_cycle():
     p = Perm.from_cycles([[2, 5, 3]], 5)
     assert orbit_of(p, 5) == (5, 3, 2)
-
-
-def test_fixed_point_free_involution_check():
-    assert Perm.from_cycles([[1, 2], [3, 4]], 4).is_fixed_point_free_involution()
-    assert not Perm.from_cycles([[1, 2]], 4).is_fixed_point_free_involution()
-    assert not Perm.from_cycles([[1, 2, 3, 4]], 4).is_fixed_point_free_involution()
 
 
 def test_bad_images_rejected():

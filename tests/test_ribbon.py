@@ -11,12 +11,13 @@ from ribbonpoly import (
     LoopContraction,
     NotInvolution,
     NotPartition,
-    Perm,
     RibbonGraph,
     build_ribbon_graph,
     graph_from_json,
     graph_to_json_dict,
 )
+from ribbonpoly.cli import main
+from ribbonpoly.permutation import Perm
 from ribbonpoly.ribbon import edge_order_from_numbers
 from generators import (
     all_one_vertex_graphs,
@@ -25,7 +26,16 @@ from generators import (
     random_planar_ribbon_graph,
 )
 import oracles
-from oracles import disjoint_union, orbit_count, orbit_of, restrict, subset_from_bitstring
+from oracles import (
+    disjoint_union,
+    orbit_count,
+    orbit_of,
+    restrict,
+    sigma0,
+    sigma1,
+    sigma2,
+    subset_from_bitstring,
+)
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -40,27 +50,53 @@ def all_subsets(graph):
 # -- construction and counts ------------------------------------------------
 
 
+def _assert_faces_are_permutation_cycles(g):
+    # the boundary walk along every edge follows sigma2^-1 = sigma0 * sigma1,
+    # which the oracle composes from the vertex and edge tuples alone
+    assert g.boundary_components(range(g.edge_count)) == sigma2(g).inverse().orbits()
+
+
 def test_planar_theta_faces(planar_theta):
-    assert planar_theta.sigma2.orbits() == [(1,), (2, 4, 6), (3, 5)]
+    assert sigma2(planar_theta).orbits() == [(1,), (2, 4, 6), (3, 5)]
+    _assert_faces_are_permutation_cycles(planar_theta)
     assert planar_theta.counts() == (2, 3, 3, 1, 0, 2)
 
 
 def test_torus_theta_faces(torus_theta):
-    assert torus_theta.sigma2.orbits() == [(1, 5, 2, 3, 6, 4)]
+    assert sigma2(torus_theta).orbits() == [(1, 5, 2, 3, 6, 4)]
+    _assert_faces_are_permutation_cycles(torus_theta)
     assert torus_theta.counts() == (2, 3, 1, 1, 1, 2)
 
 
 def test_genus2_graph_data(genus2_graph):
     g = genus2_graph
-    assert orbit_of(g.sigma2, 1) == (1, 6, 7, 10, 12, 3, 2, 4, 9, 8, 11, 5)
+    assert orbit_of(sigma2(g), 1) == (1, 6, 7, 10, 12, 3, 2, 4, 9, 8, 11, 5)
+    _assert_faces_are_permutation_cycles(g)
     assert g.counts() == (3, 6, 1, 1, 2, 4)
     assert g.edges == ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12))
 
 
 def test_triple_composes_to_identity(genus2_graph, torus_theta, planar_theta):
     for g in (genus2_graph, torus_theta, planar_theta):
+        s0, s1, s2 = sigma0(g), sigma1(g), sigma2(g)
         for i in range(1, g.half_edge_count + 1):
-            assert g.sigma0(g.sigma1(g.sigma2(i))) == i
+            assert s0(s1(s2(i))) == i
+        _assert_faces_are_permutation_cycles(g)
+
+
+def test_faces_are_permutation_cycles_on_route_graphs():
+    for g in _route_graphs():
+        _assert_faces_are_permutation_cycles(g)
+        if g.is_connected:
+            _assert_faces_are_permutation_cycles(g.dual())
+
+
+def test_graph_has_no_public_constructor(torus_theta):
+    # graphs enter through build_ribbon_graph alone, which checks its input
+    with pytest.raises(TypeError):
+        RibbonGraph(sigma0(torus_theta), sigma1(torus_theta))
+    with pytest.raises(TypeError):
+        RibbonGraph(sigma0(torus_theta), sigma1(torus_theta), [0, 1, 2])
 
 
 def test_one_loop_counts(one_loop):
@@ -82,6 +118,15 @@ def test_counts_are_the_subgraph_counts_of_every_edge(path):
     counts = graph.counts()
     assert counts == graph.subgraph_counts(every_edge) == graph.spanning_subgraph(every_edge)
     assert counts.vertices == graph.vertex_count and counts.edges == graph.edge_count
+
+
+@pytest.mark.parametrize("repeated", [[0, 0], [0, 0, 0]])
+def test_repeated_edge_index_counts_once(torus_theta, repeated):
+    # a spanning subgraph is a set of edges: a repeated index adds nothing
+    assert torus_theta.subgraph_counts(repeated) == torus_theta.subgraph_counts([0])
+    assert torus_theta.spanning_subgraph(repeated) == torus_theta.subgraph_counts([0])
+    # edge 0 is the loop {1, 3}: two components, three faces, genus 0, nullity 1
+    assert torus_theta.subgraph_counts([0]) == (2, 1, 3, 2, 0, 1)
 
 
 def test_validation_errors():
@@ -145,8 +190,12 @@ def test_boundary_named_subgraph(genus2_graph):
 
 
 def test_boundary_empty_subgraph_is_vertex_rotations(genus2_graph, torus_theta):
+    assert genus2_graph.boundary_components([]) == [
+        (1, 3, 2, 5), (4, 12, 8, 6, 11, 10), (7, 9)
+    ]
+    assert torus_theta.boundary_components([]) == [(1, 2, 3, 4), (5, 6)]
     for g in (genus2_graph, torus_theta):
-        assert g.boundary_components([]) == list(g.sigma0.orbits())
+        assert g.boundary_components([]) == list(g.vertices)
         assert g.face_count([]) == g.counts().vertices
 
 
@@ -213,7 +262,8 @@ def test_delete_from_worked_graph(genus2_graph):
     counts = smaller.counts()
     assert (counts.vertices, counts.edges) == (3, 5)
     # orbit recount oracle: faces recomputed from the rebuilt triple
-    assert counts.faces == orbit_count(smaller.sigma2)
+    assert counts.faces == orbit_count(sigma2(smaller))
+    _assert_faces_are_permutation_cycles(smaller)
     assert 2 * counts.genus == (
         2 * counts.components - counts.vertices + counts.edges - counts.faces
     )
@@ -293,8 +343,6 @@ def _assert_same_graph(graph, rebuilt):
     """Equal, and equal in every table derived from the rotation system."""
     assert graph == rebuilt
     assert hash(graph) == hash(rebuilt)
-    assert graph.sigma0 == rebuilt.sigma0
-    assert graph.sigma1 == rebuilt.sigma1
     assert graph.vertices == rebuilt.vertices
     assert graph.edges == rebuilt.edges
     assert graph.edge_order == rebuilt.edge_order
@@ -377,7 +425,9 @@ def test_cycle_data_matches_permutation_route():
         default = graph.edge_order == tuple(range(graph.edge_count))
         order = None if default else list(graph.edge_order)
         n2 = graph.half_edge_count
-        by_perms = RibbonGraph(Perm.from_cycles(cycles, n2), Perm.from_cycles(pairs, n2), order)
+        by_perms = build_ribbon_graph(
+            Perm.from_cycles(cycles, n2).orbits(), Perm.from_cycles(pairs, n2).orbits(), order
+        )
         _assert_same_graph(build_ribbon_graph(cycles, pairs, order), by_perms)
         _assert_same_graph(by_perms, graph)
 
@@ -385,6 +435,33 @@ def test_cycle_data_matches_permutation_route():
 def test_dual_matches_permutation_route():
     for graph in _route_graphs():
         _assert_same_graph(graph.dual(), oracles.dual_by_permutations(graph))
+
+
+def _repr_by_permutations(graph):
+    cycles0, cycles1 = sigma0(graph).cycle_string(), sigma1(graph).cycle_string()
+    return f"RibbonGraph(sigma0={cycles0}, sigma1={cycles1})"
+
+
+def test_repr_matches_permutation_cycle_strings():
+    for graph in _route_graphs():
+        assert repr(graph) == _repr_by_permutations(graph)
+        if graph.is_connected:
+            assert repr(graph.dual()) == _repr_by_permutations(graph.dual())
+
+
+def test_dual_text_lines_match_permutation_cycle_strings(tmp_path, capsys):
+    rng = random.Random(53)
+    graphs = [g for g in _route_graphs() if g.is_connected]
+    for graph in rng.sample(graphs, 8):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph_to_json_dict(graph)), encoding="utf-8")
+        assert main(["dual", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        dual = graph.dual()
+        assert lines[:2] == [
+            f"dual sigma0: {sigma0(dual).cycle_string()}",
+            f"dual sigma1: {sigma1(dual).cycle_string()}",
+        ]
 
 
 # -- duality ---------------------------------------------------------------------
@@ -503,7 +580,7 @@ NOT_AN_INT = [
         "contract_edge",
         "is_loop",
     )
-    for index in (True, 1.0)
+    for index in (True, 1.0, [0])
 ]
 
 
@@ -513,7 +590,7 @@ NOT_AN_INT = [
     ids=[f"{query}({index})" for query, index, _ in NOT_AN_INT],
 )
 def test_index_that_is_not_an_int_raises(query, index, message):
-    # unchecked, True would index as 1 and a float would raise TypeError
+    # unchecked, True would index as 1 and a float or a list would raise TypeError
     edge_ids = ("delete_edge", "contract_edge", "is_loop")
     argument = index if query in edge_ids else [index]
     with pytest.raises(ValueError, match=re.escape(message)):
