@@ -111,7 +111,8 @@ def _load_graph(cfg: argparse.Namespace) -> RibbonGraph:
         document = json.load(handle)
     graph = graph_from_json(document)
     if cfg.order is not None:
-        graph = graph.with_edge_order(edge_order_from_numbers(cfg.order, graph.edge_count))
+        # checked once, as the numbers written
+        graph = graph._reordered(edge_order_from_numbers(cfg.order, graph.edge_count))
     return graph
 
 

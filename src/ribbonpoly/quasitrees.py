@@ -17,10 +17,19 @@ when one of its two resolutions can no longer complete to a one-face
 subgraph.  That test, Γ, is a union-find: take the boundary components of
 the included edges as nodes and link the two components touched by each
 other unresolved edge; the resolution is viable iff this graph is
-connected.  Every node's interval holds a quasi-tree, so at most one
-resolution fails, and the 1-resolution is tested only when the
-0-resolution passes.  When an edge is skipped, the resolution that failed
-stays impossible below, so the edge takes the other value in the unique
+connected.  Every node's interval holds a quasi-tree, so this face graph,
+with the node's own edge among the links, is connected, and only one
+resolution can fail; the faces of the included edges say which, and each
+node runs only that test.  If the edge joins two faces, including it
+merges them, which contracts a link of a connected graph, so the
+1-resolution passes and only the 0-resolution is tested: a union-find
+over the faces in hand asks whether the edge's link is a bridge.  If both
+its half-edges lie on one face, its link is a loop, so the 0-resolution
+passes and only the 1-resolution, which splits that face, is tested, with
+a walk of its faces.  Skipping an edge leaves the included edges as they
+are, so a node walks their faces once and reads them for every edge it
+skips.  When an edge is skipped, the resolution that failed stays
+impossible below, so the edge takes the other value in the unique
 quasi-tree of every leaf under it; the leaf's unresolved edges are
 exactly that quasi-tree's live edges, so a leaf reads its activities from
 its resolution, its ``states``.  The tests check them against
@@ -220,27 +229,24 @@ def _build_quasi_tree(
     return QuasiTree(graph, edge_set, genus, tuple(states))
 
 
-def _gamma_connected(
-    graph: RibbonGraph, included: Sequence[int], stars: Sequence[tuple[int, int]]
-) -> bool:
-    """Whether the boundary components of ``included``, linked by the two
-    components each star pair touches, form one connected graph."""
-    count, ids = graph.face_orbit_ids(included)
-    return count == 1 or _union_find(count, stars, ids)[0] == 1
-
-
 def enumerate_quasi_trees(graph: RibbonGraph) -> list[QuasiTree]:
     """All quasi-trees, one per leaf of the binary resolution tree.
 
     Edges are resolved from the highest in ``graph.edge_order`` down;
-    nugatory edges are skipped once and never revisited.  Each node tests
-    its edge's 0-resolution and, only if that passes, its 1-resolution: the
-    node's interval holds a quasi-tree, so when the 0-resolution fails the
-    edge is *forced*, and every quasi-tree below it includes it, because
-    intervals only shrink as the search descends.  A leaf's quasi-tree is
-    its included edges plus its forced edges.  Leaves are emitted left
-    (0-branch) to right, deterministically.  Raises
-    :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
+    nugatory edges are skipped once and never revisited.  A node walks the
+    faces of its included edges once, and each edge it examines runs the
+    one Γ test that can fail, by where its half-edges lie on those faces.
+    On two faces, the 1-resolution merges them and passes, so only the
+    0-resolution is tested, by a union-find over the faces in hand; when it
+    fails the edge is *forced*, and every quasi-tree below it includes it,
+    because intervals only shrink as the search descends.  On one face, the
+    edge's link of the face graph is a loop, so the 0-resolution passes and
+    only the 1-resolution is tested, with a walk; when it fails the edge is
+    nugatory and stays out.  The tests keep the two-test rule, which tests
+    the 0-resolution and, only if that passes, the 1-resolution, as the
+    oracle.  A leaf's quasi-tree is its included edges plus its forced
+    edges.  Leaves are emitted left (0-branch) to right, deterministically.
+    Raises :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
     """
     if not graph.is_connected:
         raise SplitRoot("quasi-tree enumeration requires a connected graph")
@@ -253,23 +259,33 @@ def enumerate_quasi_trees(graph: RibbonGraph) -> list[QuasiTree]:
     while stack:
         frozen_states, forced, pos = stack.pop()
         states = list(frozen_states)
-        # skipping an edge leaves it unresolved, so the included edges stay
-        # the same until the node branches
+        # skipping an edge leaves it unresolved, so the included edges and
+        # their faces stay the same until the node branches
         included = [e for e, s in enumerate(states) if s == 1]
+        count, ids = graph.face_orbit_ids(included)
         while pos >= 0:
             eid = order[pos]
+            a, b = edges[eid]
             stars = [edges[e] for e, s in enumerate(states) if s is None and e != eid]
-            if not _gamma_connected(graph, included, stars):
-                # the interval holds a quasi-tree, so a failed 0-resolution
-                # forces the edge in and the 1-resolution needs no test
-                forced += (eid,)
-            elif _gamma_connected(graph, included + [eid], stars):
+            if ids[a] != ids[b]:
+                # the 1-resolution merges two faces, so only the 0-resolution
+                # can fail, and a failed one forces the edge in
+                branches = _union_find(count, stars, ids)[0] == 1
+                if not branches:
+                    forced += (eid,)
+            else:
+                # the star is a loop of the face graph, so only the
+                # 1-resolution can fail, and a failed one leaves it nugatory;
+                # it splits the face, so its faces need a walk
+                split_count, split_ids = graph.face_orbit_ids(included + [eid])
+                branches = _union_find(split_count, stars, split_ids)[0] == 1
+            if branches:
                 states[eid] = 1
                 stack.append((tuple(states), forced, pos - 1))
                 states[eid] = 0
                 stack.append((tuple(states), forced, pos - 1))
                 break
-            # nugatory: the edge stays unresolved
+            # skipped: the edge stays unresolved
             pos -= 1
         else:
             out.append(_build_quasi_tree(graph, frozenset(included).union(forced), states))

@@ -26,8 +26,11 @@ and :attr:`~RibbonGraph.edges` tuples, and those of ``sigma2`` are the
 :meth:`~RibbonGraph.boundary_components` of the whole edge set; no
 permutation object is built.  Input is checked once, where it enters:
 :func:`build_ribbon_graph` (and :func:`graph_from_json`, which calls it)
-checks cycle and pair data and hands the arrays it fills to ``_derive``,
-and :meth:`RibbonGraph.with_edge_order` checks an order.  Calling the class
+checks cycle and pair data and hands the arrays it fills to ``_derive``.
+An edge order is checked once: by :func:`build_ribbon_graph` and
+:meth:`RibbonGraph.with_edge_order` as edge indices, and by
+:func:`graph_from_json` and the command line's ``--order`` as the 1-based
+numbers written, through :func:`edge_order_from_numbers`.  Calling the class
 itself raises TypeError; minors, components and duals are valid by
 construction.
 
@@ -245,8 +248,16 @@ class RibbonGraph:
         return "".join("1" if member[ei] else "0" for ei in self.edge_order)
 
     def with_edge_order(self, order: Sequence[int]) -> RibbonGraph:
-        order = _checked_edge_order(order, len(self.edges))
-        return object.__new__(RibbonGraph)._derive(self._succ0, self._partner, order)
+        return self._reordered(_checked_edge_order(order, len(self.edges)))
+
+    def _reordered(self, order: tuple[int, ...]) -> RibbonGraph:
+        """The same graph under ``order``, a tuple of edge indices already
+        checked; it shares every other table, since none depends on the order."""
+        graph = object.__new__(RibbonGraph)
+        for name in self.__slots__:
+            setattr(graph, name, getattr(self, name))
+        graph.edge_order = order
+        return graph
 
     # -- derived graphs --------------------------------------------------
 
@@ -443,10 +454,12 @@ def graph_from_json(data: dict) -> RibbonGraph:
         if not isinstance(order, list):
             raise ValueError("edge_order must be a list")
         order = edge_order_from_numbers(order, len(sigma1))
-    return build_ribbon_graph(sigma0, sigma1, edge_order=order)
+    graph = build_ribbon_graph(sigma0, sigma1)
+    # the order was checked once, as the numbers written
+    return graph if order is None else graph._reordered(order)
 
 
-def edge_order_from_numbers(numbers: Sequence[int], edge_count: int) -> list[int]:
+def edge_order_from_numbers(numbers: Sequence[int], edge_count: int) -> tuple[int, ...]:
     """Edge indices from 1-based edge numbers, lowest-ordered first.
 
     Raises ValueError, naming the numbers as given, unless they are plain
@@ -455,7 +468,7 @@ def edge_order_from_numbers(numbers: Sequence[int], edge_count: int) -> list[int
     expected = list(range(1, edge_count + 1))
     if any(type(i) is not int for i in numbers) or sorted(numbers) != expected:
         raise ValueError(f"edge_order {list(numbers)} is not a permutation of 1..{edge_count}")
-    return [i - 1 for i in numbers]
+    return tuple([i - 1 for i in numbers])
 
 
 def graph_to_json_dict(graph: RibbonGraph) -> dict:

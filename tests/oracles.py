@@ -9,6 +9,9 @@ independent route, so that tests can compare the two:
   spell out the interval of a partial resolution, a leaf's ``states``;
 * :func:`quasi_trees_by_brute_force` scans every spanning subgraph for one
   face and one component, an oracle for the resolution-tree enumeration;
+* :func:`quasi_trees_by_two_tests` walks the resolution tree by the
+  two-test rule, both Γ tests searched over boundary walks, an oracle for
+  the one-test rule of :func:`~ribbonpoly.enumerate_quasi_trees`;
 * :func:`completion_by_gamma` completes a leaf by re-testing each
   unresolved edge, an oracle for the edge values the enumeration fixes
   when it skips a nugatory edge;
@@ -22,6 +25,8 @@ independent route, so that tests can compare the two:
   :meth:`~ribbonpoly.MultiGraph.spanning_trees_with_activities`;
 * :func:`tutte_by_subgraph_sum` is the defining sum of the Tutte
   polynomial, an oracle for deletion/contraction;
+* :func:`kirchhoff_count` counts spanning trees by the matrix-tree
+  theorem, an oracle for the number of quasi-trees of a planar graph;
 * :func:`interval_state_sum` is the state sum restricted to the interval
   of a partial resolution;
 * :func:`delete_edge`, :func:`contract_edge` and
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -311,6 +317,50 @@ def _gamma_connected(graph: RibbonGraph, included: Iterable[int], stars: Iterabl
     return len(seen) == len(neighbours)
 
 
+Node = tuple[frozenset[int], int, bool, bool]  # included edges, edge, 0- and 1-test
+
+
+def quasi_trees_by_two_tests(
+    graph: RibbonGraph, nodes: list[Node] | None = None
+) -> list[tuple[frozenset[int], tuple[int | None, ...]]]:
+    """The leaves ``(edges, states)`` of the resolution tree, in order, by the
+    two-test rule.
+
+    Edges are resolved from the highest in the edge order down.  Each node
+    tests its edge's 0-resolution, then its 1-resolution: a failed 0-test
+    forces the edge into the leaf's quasi-tree, a failed 1-test leaves it
+    nugatory, and two passes branch, the 0-branch first.  Skipped edges
+    stay unresolved, so they stay stars of every test below.  Both tests
+    run at every node, and ``nodes``, when given, receives each node's
+    ``(included, edge, 0-test, 1-test)``.
+    """
+    order, out = graph.edge_order, []
+    stack = [((None,) * graph.edge_count, frozenset(), graph.edge_count - 1)]
+    while stack:
+        frozen_states, forced, pos = stack.pop()
+        states = list(frozen_states)
+        base = included(states)
+        while pos >= 0:
+            eid = order[pos]
+            stars = [e for e in unresolved(states) if e != eid]
+            zero = _gamma_connected(graph, base, stars)
+            one = _gamma_connected(graph, base | {eid}, stars)
+            if nodes is not None:
+                nodes.append((base, eid, zero, one))
+            if not zero:
+                forced |= {eid}
+            elif one:
+                states[eid] = 1
+                stack.append((tuple(states), forced, pos - 1))
+                states[eid] = 0
+                stack.append((tuple(states), forced, pos - 1))
+                break
+            pos -= 1
+        else:
+            out.append((base | forced, tuple(states)))
+    return out
+
+
 def completion_by_gamma(graph: RibbonGraph, states: Sequence[int | None]) -> frozenset[int]:
     """The quasi-tree of a leaf by the completion rule: include an unresolved
     edge iff setting it to 1, the other unresolved edges left free, keeps
@@ -452,6 +502,37 @@ def tutte_by_subgraph_sum(graph: MultiGraph) -> MPoly:
             nullity = k_w - graph.vertex_count + len(subset)
             total = total + x_minus_1 ** (k_w - k_g) * y_minus_1**nullity
     return total
+
+
+def kirchhoff_count(graph: MultiGraph) -> int:
+    """The number of spanning trees: the determinant of the Laplacian, loops
+    dropped, with the row and column of vertex 0 removed (Kirchhoff's
+    matrix-tree theorem), by Gaussian elimination over fractions."""
+    size = graph.vertex_count - 1
+    laplacian = [[Fraction(0)] * graph.vertex_count for _ in range(graph.vertex_count)]
+    for u, v, _ in graph.edges:
+        if u != v:
+            laplacian[u][u] += 1
+            laplacian[v][v] += 1
+            laplacian[u][v] -= 1
+            laplacian[v][u] -= 1
+    rows = [row[1:] for row in laplacian[1:]]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, size):
+                rows[r][c] -= factor * rows[col][c]
+    if det.denominator != 1:
+        raise AssertionError(f"a spanning tree count is an integer, got {det}")
+    return int(det)
 
 
 def interval_state_sum(

@@ -17,6 +17,7 @@ from ribbonpoly import (
     graph_to_json_dict,
 )
 from ribbonpoly.cli import main
+from ribbonpoly import ribbon
 from ribbonpoly.permutation import Perm
 from ribbonpoly.ribbon import edge_order_from_numbers
 from generators import (
@@ -615,6 +616,29 @@ def test_edge_order_override_validation(genus2_graph):
 def test_edge_numbers_must_be_plain_ints(numbers):
     with pytest.raises(ValueError, match=re.escape(f"edge_order {numbers} is not a permutation")):
         edge_order_from_numbers(numbers, 2)
+
+
+def test_edge_order_is_checked_once(monkeypatch, tmp_path):
+    """A document's order and ``--order`` are checked as the numbers written
+    and not again as indices; a library caller's order is checked as indices."""
+    checks, checked = [], ribbon._checked_edge_order
+
+    def counted(order, edge_count):
+        checks.append(tuple(order))
+        return checked(order, edge_count)
+
+    monkeypatch.setattr(ribbon, "_checked_edge_order", counted)
+    document = {"sigma0": [[1, 2, 3, 4]], "sigma1": [[1, 2], [3, 4]], "edge_order": [2, 1]}
+    assert graph_from_json(document).edge_order == (1, 0)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(document))
+    assert main(["count", str(path), "--order", "1,2"]) == 0
+    assert checks == []
+    with pytest.raises(ValueError, match=re.escape("edge_order [3, 1] is not a permutation of 1..2")):
+        graph_from_json({**document, "edge_order": [3, 1]})
+    graph = build_ribbon_graph(document["sigma0"], document["sigma1"], edge_order=[1, 0])
+    assert graph.with_edge_order([0, 1]).edge_order == (0, 1)
+    assert checks == [(1, 0), (0, 1)]
 
 
 def test_json_roundtrip(genus2_graph):
