@@ -12,8 +12,10 @@ Reads a graph document (``sigma0`` cycles, ``sigma1`` pairs, optional
     ribbonpoly spanning-trees GRAPH.json
 
 Text and JSON output carry the same data.  Exit codes: 0 success, 1 bad
-input (unreadable file, invalid permutation data, violated precondition),
-2 verification mismatch, 3 state-sum size cap exceeded.
+input (unreadable file, invalid permutation data, violated precondition)
+or a usage error (an unknown flag, a bad flag value, a missing argument),
+2 verification mismatch, 3 state-sum size cap exceeded.  Every error is
+one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import (
     BijectionFailure,
@@ -50,8 +52,20 @@ from .ribbon import (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line and exit 1.
+
+    Its subcommand parsers are of the same class.  ``-h`` still prints the
+    help and exits 0.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
         prog="ribbonpoly",
         description="Ribbon-graph polynomial computations from permutation data.",
     )
@@ -70,7 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="comma-separated 1-based edge indices, lowest-ordered first",
         )
-        p.add_argument("--cap", type=int, default=DEFAULT_SUBGRAPH_CAP)
+        p.add_argument(
+            "--cap",
+            type=int,
+            default=DEFAULT_SUBGRAPH_CAP,
+            help="most edges the state sum expands, 2^cap subgraphs; read by "
+            "compute --method statesum|all and verify (default %(default)s)",
+        )
         p.add_argument("--seed", type=int, default=0)
 
     p_compute = sub.add_parser("compute", help="evaluate the polynomial by one method")
@@ -93,16 +113,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_config(argv: Sequence[str] | None) -> argparse.Namespace:
     """The parsed arguments, with a given ``--order`` as a list of 1-based edge numbers."""
-    cfg = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    cfg = parser.parse_args(argv)
     if cfg.order is not None:
         try:
             cfg.order = [int(part) for part in cfg.order.split(",")] if cfg.order else []
         except ValueError as exc:
-            print(f"error: bad --order value: {exc}", file=sys.stderr)
-            raise SystemExit(1)
+            parser.error(f"bad --order value: {exc}")
     if cfg.cap < 1:
-        print("error: --cap must be at least 1", file=sys.stderr)
-        raise SystemExit(1)
+        parser.error("--cap must be at least 1")
     return cfg
 
 
@@ -171,7 +190,9 @@ def _run_compute(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
 
 def _run_quasitrees(cfg: argparse.Namespace, graph: RibbonGraph) -> int:
     quasi_trees = sorted(enumerate_quasi_trees(graph), key=lambda q: q.bitstring())
-    weight_of = functools.cache(key_weight)  # each distinct weight key expanded once
+    # each distinct weight key expanded once, its Tutte factor by the
+    # shape_tutte_factor that quasi_tree_sum runs once per shape
+    weight_of = functools.cache(key_weight)
     rows = []
     for qt in quasi_trees:
         weight = weight_of(qt.weight_key())

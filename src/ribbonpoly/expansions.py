@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,9 +36,9 @@ from math import comb
 from typing import Sequence
 
 from .errors import BijectionFailure, Disconnected, IdentityFailure, Mismatch, SizeLimit
-from .mpoly import MPoly, ONE, Y
+from .mpoly import ExponentKey, MPoly, ONE, Y
 from .multigraph import _union_find
-from .quasitrees import QuasiTree, WeightKey, enumerate_quasi_trees, genus_histogram, key_weight
+from .quasitrees import QuasiTree, enumerate_quasi_trees, genus_histogram, shape_tutte_factor
 from .ribbon import RibbonGraph
 
 DEFAULT_SUBGRAPH_CAP = 24
@@ -220,12 +221,13 @@ def quasi_tree_sum(graph: RibbonGraph) -> BrtResult:
     """The three-variable polynomial as the sum of one weight per quasi-tree.
 
     Leaves are tallied by :meth:`~ribbonpoly.QuasiTree.weight_key`, and
-    each distinct key's weight is expanded once, times its count.  The
-    result does not depend on the edge order even though each weight does.
-    For one-vertex graphs every contracted graph is a bouquet of loops, so
-    the Tutte factor degenerates to (1+YZ)^|internal live|.  ``term_count``
-    is the number of quasi-trees.  Raises
-    :class:`~ribbonpoly.errors.SplitRoot` on a disconnected graph.
+    the Tutte factor of each distinct contracted-graph shape is expanded
+    once (see :func:`_weight_sum`).  The result does not depend on the
+    edge order even though each weight does.  For one-vertex graphs every
+    contracted graph is a bouquet of loops, so the Tutte factor
+    degenerates to (1+YZ)^|internal live|.  ``term_count`` is the number
+    of quasi-trees.  Raises :class:`~ribbonpoly.errors.SplitRoot` on a
+    disconnected graph.
     """
     start = time.perf_counter()
     quasi_trees = enumerate_quasi_trees(graph)
@@ -234,15 +236,29 @@ def quasi_tree_sum(graph: RibbonGraph) -> BrtResult:
 
 
 def _weight_sum(quasi_trees: Sequence[QuasiTree]) -> MPoly:
-    """The sum of the leaves' weights, each distinct weight key expanded once."""
-    tally: dict[WeightKey, int] = {}
-    for qt in quasi_trees:
-        key = qt.weight_key()
-        tally[key] = tally.get(key, 0) + 1
-    total = MPoly.zero()
-    for key, multiplicity in tally.items():
-        total = total + key_weight(key, multiplicity).expanded
-    return total
+    """The sum of the leaves' weights, one Tutte factor per contracted-graph shape.
+
+    The leaves are tallied by weight key, and the keys grouped by
+    ``(k(D), shape)``.  Each group's P = Σ count·Y^n(D)·Z^g(D)·(1+Y)^|E|,
+    with E the externally live edges, is one term dict, (1+Y)^|E| written
+    out by binomial coefficients.  Its Tutte factor T(W; X, 1+YZ) is
+    expanded once, by :func:`~ribbonpoly.quasitrees.shape_tutte_factor`,
+    and T·P is added into one term dict, which becomes one polynomial.
+    """
+    tally = Counter(qt.weight_key() for qt in quasi_trees)
+    groups: dict[tuple[int, tuple[tuple[int, int], ...]], dict[tuple[int, int], int]] = {}
+    for (nullity, genus, external, components, shape), multiplicity in tally.items():
+        rest = groups.setdefault((components, shape), {})  # (Y, Z) exponents -> coefficient
+        for j in range(external + 1):
+            yz = (nullity + j, genus)
+            rest[yz] = rest.get(yz, 0) + multiplicity * comb(external, j)
+    terms: dict[ExponentKey, int] = {}
+    for (components, shape), rest in groups.items():
+        for (x, y, z, _), coeff in shape_tutte_factor(components, shape).items():
+            for (ry, rz), rcoeff in rest.items():
+                key = (x, y + ry, z + rz, 0)
+                terms[key] = terms.get(key, 0) + coeff * rcoeff
+    return MPoly(terms)
 
 
 def compute(

@@ -28,8 +28,10 @@ def _union_find(
     """Partition ``0..size-1`` by joining ``label[a]`` and ``label[b]`` for each link ``(a, b)``.
 
     Returns the number of classes and ``find``, which maps an element to
-    the representative of its class.  Linking stops as soon as a merge
-    leaves a single class, because no further link can change the partition.
+    the representative of its class.  Linking stops as soon as a single
+    class is left, because no further link can change the partition: with
+    ``size`` at most 1 no link is read at all, so a one-vertex caller runs
+    no find.
     """
     parent = list(range(size))
 
@@ -40,13 +42,14 @@ def _union_find(
         return a
 
     count = size
-    for a, b in links:
-        ra, rb = find(label[a]), find(label[b])
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-            if count == 1:
-                break
+    if count > 1:
+        for a, b in links:
+            ra, rb = find(label[a]), find(label[b])
+            if ra != rb:
+                parent[ra] = rb
+                count -= 1
+                if count == 1:
+                    break
     return count, find
 
 

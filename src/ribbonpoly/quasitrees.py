@@ -45,10 +45,12 @@ components of D and whose edges are the internally live edges.  A leaf
 enters its weight only through its key ``(n(D), g(D), |external live|,
 k(D), shape)``; the shape, the component-index pairs of the internally
 live edges, is the contracted graph up to edge ids, which T ignores.
-:func:`ribbonpoly.expansions.quasi_tree_sum` tallies the leaves by key and
-expands each distinct key once, times its count; the sum equals the
-three-variable polynomial computed by the state sum over all spanning
-subgraphs, with far fewer summands.
+:func:`ribbonpoly.expansions.quasi_tree_sum` tallies the leaves by key,
+then groups the keys by ``(k(D), shape)``: each group's Tutte factor,
+from :func:`shape_tutte_factor`, is expanded once and multiplies the
+group's sum of ``count * Y^n(D) * Z^g(D) * (1+Y)^|external live|``.  The
+sum equals the three-variable polynomial computed by the state sum over
+all spanning subgraphs, with far fewer summands.
 """
 
 from __future__ import annotations
@@ -188,25 +190,38 @@ class QuasiTree:
     def weight_key(self) -> WeightKey:
         """``(n(D), g(D), |external live|, k(D), shape)`` for the dead subgraph D.
 
-        One union-find over D numbers its components in order of first
-        appearance.  The shape is the sorted tuple of ``(min, max)``
-        component indices of the internally live edges: the contracted graph
-        W up to edge ids.  Joining those edges to D gives the leaf and adds
+        One pass over the states sorts the edges into dead, internally live
+        and externally live.  A union-find over D, which reads no edge on
+        one vertex, numbers its components in order of first appearance.
+        The shape is the sorted tuple of ``(min, max)`` component indices of
+        the internally live edges: the contracted graph W up to edge ids.
+        Joining those edges to D gives the leaf and adds
         n(W) = |internal live| - k(D) + 1 to the genus, so g(D) needs no face walk.
         """
-        graph, states, vertex_of = self.parent, self.states, self.parent._vertex_of
-        dead = [e for e, s in enumerate(states) if s == 1]
-        live = [e for e, s in enumerate(states) if s is None]
+        graph, edges, vertex_of = self.parent, self.parent.edges, self.parent._vertex_of
+        dead: list[tuple[int, int]] = []
+        internal: list[tuple[int, int]] = []
+        external = 0
+        for e, s in enumerate(self.states):
+            if s is None:
+                if e in self.edges:
+                    internal.append(edges[e])
+                else:
+                    external += 1
+            elif s:
+                dead.append(edges[e])
         v = graph.vertex_count
-        components, find = _union_find(v, map(graph.edges.__getitem__, dead), vertex_of)
+        components, find = _union_find(v, dead, vertex_of)
         index: dict[int, int] = {}
         component = [index.setdefault(find(vi), len(index)) for vi in range(v)]
-        internal = [graph.edges[e] for e in live if e in self.edges]
-        ends = ((component[vertex_of[a]], component[vertex_of[b]]) for a, b in internal)
-        shape = tuple(sorted((min(u, w), max(u, w)) for u, w in ends))
+        shape = []
+        for a, b in internal:
+            u, w = component[vertex_of[a]], component[vertex_of[b]]
+            shape.append((u, w) if u <= w else (w, u))
+        shape.sort()
         nullity = len(dead) - v + components
         genus = self.genus - (len(internal) - components + 1)
-        return nullity, genus, len(live) - len(internal), components, shape
+        return nullity, genus, external, components, tuple(shape)
 
     def bitstring(self) -> str:
         return self.parent.bitstring(self.edges)
@@ -326,11 +341,17 @@ class QuasiTreeWeight:
         return "*".join(parts) if parts else "1"
 
 
+def shape_tutte_factor(components: int, shape: Sequence[tuple[int, int]]) -> MPoly:
+    """T(W; X, 1+YZ) for the contracted graph W of ``components`` vertices
+    whose edges join the component-index pairs of ``shape``."""
+    contracted = MultiGraph(components, tuple((u, v, i) for i, (u, v) in enumerate(shape)))
+    return contracted.tutte_polynomial().substitute(y=ONE + Y * Z)
+
+
 def key_weight(key: WeightKey, multiplicity: int = 1) -> QuasiTreeWeight:
     """The weight of ``multiplicity`` leaves with the weight key ``key``."""
     nullity, genus, external_live_count, components, shape = key
-    contracted = MultiGraph(components, tuple((u, v, i) for i, (u, v) in enumerate(shape)))
-    tutte = contracted.tutte_polynomial().substitute(y=ONE + Y * Z)
+    tutte = shape_tutte_factor(components, shape)
     expanded = (
         MPoly.monomial(multiplicity, y=nullity, z=genus)
         * (ONE + Y) ** external_live_count

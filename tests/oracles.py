@@ -19,6 +19,9 @@ independent route, so that tests can compare the two:
   subgraph and contracted multigraph, and :func:`weight_by_subgraphs`
   takes a leaf's weight from them, an oracle for
   :func:`~ribbonpoly.quasi_tree_weight`;
+* :func:`weight_sum_by_keys` adds one expanded weight per distinct weight
+  key, each with its own Tutte factor, an oracle for the per-shape sum of
+  :func:`~ribbonpoly.quasi_tree_sum`;
 * :func:`spanning_trees_by_combinations` tests every set of v - 1
   non-loop edges for a spanning tree and reads each tree's activities
   from its cuts and tree paths, an oracle for the Tutte recursion of
@@ -82,6 +85,7 @@ from ribbonpoly.expansions import _subgraph_sum
 from ribbonpoly.mpoly import _VAR_INDEX, ExponentKey
 from ribbonpoly.multigraph import Edge, _union_find
 from ribbonpoly.permutation import Perm
+from ribbonpoly.quasitrees import key_weight
 
 # -- plain functions of the program's objects -----------------------------------
 
@@ -421,6 +425,19 @@ def weight_by_subgraphs(q: QuasiTree) -> tuple[int, int, int, MPoly, MPoly]:
         MPoly.monomial(1, y=dead.nullity, z=dead.genus) * (ONE + Y) ** external_live * tutte
     )
     return dead.nullity, dead.genus, external_live, tutte, expanded
+
+
+def weight_sum_by_keys(quasi_trees: Iterable[QuasiTree]) -> MPoly:
+    """The leaves tallied by weight key, and each key's weight, with its own
+    Tutte factor, expanded times its count and added to a running sum."""
+    tally: dict[tuple, int] = {}
+    for q in quasi_trees:
+        key = q.weight_key()
+        tally[key] = tally.get(key, 0) + 1
+    total = MPoly.zero()
+    for key, multiplicity in tally.items():
+        total = total + key_weight(key, multiplicity).expanded
+    return total
 
 
 # -- spanning trees ---------------------------------------------------------------

@@ -12,21 +12,28 @@ leaf's activities must be the chord-crossing classification of
 must equal the genus-counting specialisation of the polynomial.  Each
 leaf's weight must equal the one :func:`oracles.weight_by_subgraphs` takes
 from its dead subgraph and contracted multigraph, its weight key must be
-read from the same pieces, and the quasi-tree sum, which expands each
-distinct key once, must be the sum of those weights over the leaves.
+read from the same pieces, and the quasi-tree sum, which expands one Tutte
+factor per contracted-graph shape, must be the sum of those weights over
+the leaves and the per-key sum of :func:`oracles.weight_sum_by_keys`.
 The leaves, in order, must be those of the two-test enumeration
 :func:`oracles.quasi_trees_by_two_tests`, and at every node of it the
 test that the enumeration's one-test rule skips must pass.  On 20 seeded
 planar maps with 8 to 10 vertices, the shape of the benchmark's ``count``
 load, ``count`` must find :func:`oracles.kirchhoff_count` spanning trees,
 all of genus 0, and the leaves must again be the two-test oracle's.
+``compute --method quasitree`` must give one polynomial and one term count
+under shuffled ``--order`` values, the paper's edge-order independence.
 
 Run as a script to take the census of a larger chord count, for example
 ``PYTHONPATH=src:tests python tests/test_census.py 6`` for the 10,395
 six-chord one-vertex graphs, each under its default and its reversed edge
 order, or of larger planar maps, for example
 ``PYTHONPATH=src:tests python tests/test_census.py planar 1 8 12 28`` for
-8 maps from seed 1 with 12 vertices and 28 edges.
+8 maps from seed 1 with 12 vertices and 28 edges, or of edge-order
+independence above the state-sum cap, for example
+``PYTHONPATH=src:tests python tests/test_census.py orders 1 4 12 28 18`` for
+4 planar maps from seed 1 with 12 vertices and 28 edges and 4 random maps
+with 18 edges, each under three shuffled orders.
 """
 
 from __future__ import annotations
@@ -53,7 +60,12 @@ from ribbonpoly import (
     verify_all,
 )
 from ribbonpoly.cli import main
-from generators import all_one_vertex_graphs, one_vertex_graphs, random_planar_ribbon_graph
+from generators import (
+    all_one_vertex_graphs,
+    one_vertex_graphs,
+    random_connected_ribbon_graph,
+    random_planar_ribbon_graph,
+)
 from oracles import (
     completion_by_gamma,
     contracted_graph,
@@ -62,6 +74,7 @@ from oracles import (
     quasi_trees_by_two_tests,
     spanning_trees_by_combinations,
     weight_by_subgraphs,
+    weight_sum_by_keys,
 )
 
 
@@ -92,6 +105,7 @@ def check(graph):
         total = total + reference[-1]
     result = quasi_tree_sum(graph)
     assert (result.polynomial, result.term_count) == (total, len(leaves))
+    assert result.polynomial == weight_sum_by_keys(leaves)
 
 
 def check_leaves(graph, leaves):
@@ -106,15 +120,19 @@ def check_leaves(graph, leaves):
         assert zero if face_of[a] == face_of[b] else one, (sorted(included), eid)
 
 
-def count_json(graph):
-    """The JSON output of ``ribbonpoly count`` on the graph's document."""
+def cli_json(graph, *arguments):
+    """The JSON output of ``ribbonpoly COMMAND`` on the graph's document,
+    one output per argument list, each led by its command name."""
+    outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
         path.write_text(json.dumps(graph_to_json_dict(graph)))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["count", str(path), "--format", "json"]) == 0
-    return json.loads(out.getvalue())
+        for command, *flags in arguments:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([command, str(path), *flags, "--format", "json"]) == 0
+            outputs.append(json.loads(out.getvalue()))
+    return outputs
 
 
 def check_planar(graph):
@@ -122,9 +140,29 @@ def check_planar(graph):
     finds Kirchhoff's number of them, all of genus 0, and the leaves are the
     two-test oracle's."""
     trees = kirchhoff_count(graph.underlying_multigraph())
-    result = count_json(graph)
+    (result,) = cli_json(graph, ["count"])
     assert (result["total"], result["by_genus"]) == (trees, {"0": trees})
     check_leaves(graph, enumerate_quasi_trees(graph))
+
+
+def check_order_independence(graph, rng, orders=3):
+    """``compute --method quasitree`` gives one polynomial and one term
+    count under ``orders`` shuffled ``--order`` values."""
+    arguments = []
+    for _ in range(orders):
+        order = list(range(1, graph.edge_count + 1))
+        rng.shuffle(order)
+        arguments.append(["compute", "--method", "quasitree", "--order", ",".join(map(str, order))])
+    results = {(r["polynomial"], r["term_count"]) for r in cli_json(graph, *arguments)}
+    assert len(results) == 1, results
+
+
+def order_maps(seed, number, vertices, planar_edges, random_edges):
+    """Seeded planar maps and random connected maps for the order check."""
+    yield from planar_maps(seed, number, (vertices, vertices), (planar_edges, planar_edges))
+    rng = random.Random(seed)
+    for _ in range(number):
+        yield random_connected_ribbon_graph(rng, random_edges)
 
 
 def planar_maps(seed, number, vertices, edges):
@@ -182,6 +220,14 @@ def test_planar_maps_match_kirchhoff_and_two_tests():
     assert count == 20
 
 
+def test_quasi_tree_sum_ignores_edge_order():
+    rng = random.Random(26)
+    graphs = list(order_maps(26, 2, 6, 12, 8))
+    assert [graph.edge_count for graph in graphs] == [12, 12, 8, 8]
+    for graph in graphs:
+        check_order_independence(graph, rng)
+
+
 if __name__ == "__main__":
     if sys.argv[1] == "planar":
         seed, number, vertices, edges = map(int, sys.argv[2:])
@@ -190,6 +236,17 @@ if __name__ == "__main__":
         print(
             f"{number} planar maps with {vertices} vertices and {edges} edges match Kirchhoff's"
             " count and the two-test enumeration"
+        )
+        raise SystemExit
+    if sys.argv[1] == "orders":
+        seed, number, vertices, planar_edges, random_edges = map(int, sys.argv[2:])
+        rng = random.Random(seed)
+        for graph in order_maps(seed, number, vertices, planar_edges, random_edges):
+            check_order_independence(graph, rng)
+        print(
+            f"{number} planar maps with {vertices} vertices and {planar_edges} edges and"
+            f" {number} random maps with {random_edges} edges give one quasi-tree sum"
+            " under three shuffled edge orders"
         )
         raise SystemExit
     chords = int(sys.argv[1])

@@ -237,6 +237,34 @@ def test_bad_order_value(genus2_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "{loop}", "--method", "bogus"], "error: argument --method: invalid choice: 'bogus'"),
+        (["count", "{loop}", "--cap", "x"], "error: argument --cap: invalid int value: 'x'"),
+        (["dual", "{loop}", "--seed", "x"], "error: argument --seed: invalid int value: 'x'"),
+        (["count", "{loop}", "--bogus"], "error: unrecognized arguments: --bogus"),
+        (["count"], "error: the following arguments are required: input"),
+        (["count", "{loop}", "--cap", "0"], "error: --cap must be at least 1"),
+    ],
+)
+def test_usage_error_prints_one_line_and_exits_1(loop_file, capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(loop=loop_file) for arg in argv])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(message)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["count", "-h"])
+    assert info.value.code == 0
+    assert "--cap CAP" in capsys.readouterr().out
+
+
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 TORUS_THETA = GRAPHS / "torus_theta.json"
 

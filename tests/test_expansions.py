@@ -7,6 +7,7 @@ from ribbonpoly import (
     Disconnected,
     Method,
     MPoly,
+    MultiGraph,
     ONE,
     SizeLimit,
     X,
@@ -25,8 +26,9 @@ from ribbonpoly import (
 from generators import (
     all_one_vertex_graphs,
     random_connected_ribbon_graph,
+    random_planar_ribbon_graph,
 )
-from oracles import disjoint_union, interval_state_sum, parse_poly
+from oracles import disjoint_union, interval_state_sum, parse_poly, weight_sum_by_keys
 from conftest import (
     GENUS2_POLY,
     GENUS2_SPANNING_TREE_TABLE,
@@ -269,3 +271,38 @@ def test_interleaved_one_vertex_graphs_have_fewer_summands():
             continue
         results = verify_all(graph).results
         assert results[Method.QUASI_TREE].term_count < results[Method.STATE_SUM].term_count
+
+
+def test_quasi_tree_sum_per_shape_on_maps_with_many_vertices(monkeypatch):
+    # one-vertex leaves reach bouquets only; on these maps the contracted
+    # graphs have several vertices and non-loop edges, and the sum expands
+    # one Tutte factor per distinct (k(D), shape) in each call
+    calls = []
+    tutte = MultiGraph.tutte_polynomial
+    monkeypatch.setattr(MultiGraph, "tutte_polynomial", lambda m: calls.append(m) or tutte(m))
+    rng = random.Random(26)
+    graphs = []
+    for vertex_count in range(2, 8):
+        graphs.append(random_planar_ribbon_graph(rng, vertex_count, rng.randint(3, 6)))
+        while True:
+            graph = random_connected_ribbon_graph(rng, rng.randint(vertex_count + 2, 11))
+            if graph.vertex_count == vertex_count:
+                graphs.append(graph)
+                break
+    reaches_non_loops = keys_over_shapes = 0
+    for graph in graphs:
+        order = list(range(graph.edge_count))
+        rng.shuffle(order)
+        graph = graph.with_edge_order(order)
+        leaves = enumerate_quasi_trees(graph)
+        keys = {q.weight_key() for q in leaves}
+        shapes = {key[3:] for key in keys}
+        keys_over_shapes += len(keys) - len(shapes)
+        reaches_non_loops += any(k >= 2 and any(u != v for u, v in s) for k, s in shapes)
+        calls.clear()
+        result = quasi_tree_sum(graph)
+        assert len(calls) == len(shapes)
+        assert result.polynomial == weight_sum_by_keys(leaves) == state_sum(graph).polynomial
+    assert sorted(graph.vertex_count for graph in graphs) == sorted([*range(2, 8)] * 2)
+    assert reaches_non_loops == len(graphs)
+    assert keys_over_shapes > 50  # one Tutte factor per key would be caught
